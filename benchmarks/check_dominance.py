@@ -5,15 +5,16 @@ The sweep benchmarks assert absolute dominance themselves (batch >= 1.0x
 serial lives in ``test_bench_sweep.py``), but an absolute floor cannot
 see a *relative* slide — 1.5x decaying to 1.05x over a month of commits
 still passes 1.0.  This gate closes that hole: the committed
-``benchmarks/BENCH_sweep.json`` is the floor.  CI snapshots the committed
-file before the suite rewrites it in the tree, then compares every gated
-speedup ratio in the fresh results against ``margin`` times its committed
-value and exits non-zero on any regression, so the nightly job fails
-instead of silently uploading a slower artifact.
+``benchmarks/BENCH_sweep.json`` is the floor.  The suite records its fresh
+ratios in the untracked ``benchmarks/out/BENCH_sweep.json``; this gate
+compares every gated speedup ratio there against ``margin`` times its
+committed value and exits non-zero on any regression, so the nightly job
+fails instead of silently uploading a slower artifact.
 
 Usage::
 
-    python benchmarks/check_dominance.py committed.json fresh.json [--margin 0.85]
+    python benchmarks/check_dominance.py benchmarks/BENCH_sweep.json \
+        benchmarks/out/BENCH_sweep.json [--margin 0.85]
 
 The default margin absorbs shared-runner noise; ratios are wall-clock
 quotients of two runs on the same machine, so they are far steadier than
@@ -70,8 +71,8 @@ def check(committed: dict, fresh: dict, margin: float) -> List[str]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("committed", help="snapshot of the committed BENCH_sweep.json")
-    parser.add_argument("fresh", help="BENCH_sweep.json rewritten by the benchmark run")
+    parser.add_argument("committed", help="the committed BENCH_sweep.json")
+    parser.add_argument("fresh", help="out/BENCH_sweep.json from the benchmark run")
     parser.add_argument(
         "--margin",
         type=float,

@@ -4,21 +4,21 @@ Times the quick-mode grid sweep across the execution backends — step-by-step
 serial (the seed's execution model), fast-path serial, a 4-worker process
 pool, the vectorized lockstep batch (static and Morphy kernels), and the
 composed ``pool+batch`` backend — and records the throughput ratios both in
-the pytest-benchmark JSON and in the stable, on-repo
-``benchmarks/BENCH_sweep.json`` (via
-:func:`benchmarks.conftest.record_sweep_metrics`) so the perf trajectory
-tracks sweep speed alongside the per-artifact numbers.  Grids are driven
-through the same public :func:`repro.experiments.sweep` surface the
-table/figure modules use.
+the pytest-benchmark JSON and in ``benchmarks/out/BENCH_sweep.json`` (via
+:func:`benchmarks.conftest.record_sweep_metrics`), the untracked fresh copy
+of the committed perf trajectory ``benchmarks/BENCH_sweep.json``.  Grids
+are driven through the same public :func:`repro.experiments.sweep` surface
+the table/figure modules use.
 
 Correctness assertions, not timing assertions, gate the tests: every
 backend must return the same results in the same order as the serial
-backend, and the fast-path engine must agree with the step-by-step engine
-on the headline counters.  (Timing ratios depend on the host's core count —
-on a single-core CI runner the worker pools cannot win — so all pool
-ratios are recorded, not asserted; the single-core Morphy batch speedup
-and the mixed-grid fast-path speedup carry the positive assertions, and
-the static batch sweep keeps a pathological-regression floor.)
+backend, and the fast-path engine must agree with the step-by-step engine,
+all exactly (``tests/oracle.py``).  (Timing ratios depend on the host's
+core count — on a single-core CI runner the worker pools cannot win — so
+all pool ratios are recorded, not asserted; the single-core Morphy batch
+speedup and the mixed-grid fast-path speedup carry the positive
+assertions, and the static batch sweep keeps a pathological-regression
+floor.)
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from repro.experiments.remote import RemoteBackend
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments import sweep
 from repro.units import milliamps, millifarads
+from tests.oracle import assert_sweeps_equivalent
 
 #: A representative slice of the grid: every buffer and every trace, two
 #: workloads (one throughput-style, one reactivity-style).  Small enough to
@@ -126,22 +127,10 @@ def test_bench_grid_sweep_serial_vs_parallel(benchmark, bench_settings):
     parallel = parallel_runner.run_grid(workloads=SWEEP_WORKLOADS)
     parallel_seconds = time.perf_counter() - started
 
-    # The parallel runner must reproduce the serial grid exactly, in order.
-    assert len(parallel) == len(serial)
-    for serial_result, parallel_result in zip(serial, parallel):
-        assert parallel_result.trace_name == serial_result.trace_name
-        assert parallel_result.buffer_name == serial_result.buffer_name
-        assert parallel_result.workload_name == serial_result.workload_name
-        assert parallel_result.work_units == serial_result.work_units
-        assert parallel_result.enable_count == serial_result.enable_count
-        assert parallel_result.brownout_count == serial_result.brownout_count
-        assert parallel_result.latency == serial_result.latency
-
-    # The fast-path engine must agree with step-by-step execution.
-    for reference, fast in zip(step_by_step, serial):
-        assert fast.work_units == reference.work_units
-        assert fast.enable_count == reference.enable_count
-        assert fast.brownout_count == reference.brownout_count
+    # The parallel runner must reproduce the serial grid exactly, in order,
+    # and the fast-path engine must agree exactly with step-by-step execution.
+    assert_sweeps_equivalent(serial, parallel)
+    assert_sweeps_equivalent(step_by_step, serial)
 
     benchmark.extra_info["grid_cells"] = len(serial)
     benchmark.extra_info["step_by_step_serial_seconds"] = round(step_by_step_seconds, 3)
@@ -170,7 +159,7 @@ def test_bench_mixed_grid_react_heavy_sweep(benchmark, bench_settings):
     This is the committed perf trajectory for the on-phase fast path: the
     full buffer column (REACT cells run scalar and dominate) under RT/PF,
     timed with every fast path enabled against the step-by-step engine.
-    Correctness gates the test (exact counters against the oracle); the
+    Correctness gates the test (exact results against the oracle); the
     speedup is asserted at the 1.3× floor the quiescence protocol is
     expected to clear on this shape (locally ~1.6×).
     """
@@ -194,16 +183,7 @@ def test_bench_mixed_grid_react_heavy_sweep(benchmark, bench_settings):
     )
     fast_seconds = time.perf_counter() - started
 
-    assert len(fast) == len(step_by_step)
-    for reference, candidate in zip(step_by_step, fast):
-        assert candidate.trace_name == reference.trace_name
-        assert candidate.buffer_name == reference.buffer_name
-        assert candidate.work_units == reference.work_units
-        assert candidate.enable_count == reference.enable_count
-        assert candidate.brownout_count == reference.brownout_count
-        assert candidate.latency == reference.latency
-        assert candidate.on_time == reference.on_time
-        assert candidate.active_time == reference.active_time
+    assert_sweeps_equivalent(step_by_step, fast)
 
     speedup = step_by_step_seconds / fast_seconds
     benchmark.extra_info["grid_cells"] = len(fast)
@@ -219,19 +199,6 @@ def test_bench_mixed_grid_react_heavy_sweep(benchmark, bench_settings):
     )
 
 
-def _assert_sweep_matches_serial(serial, candidate):
-    """Ordered counter-level equality between two sweeps of one grid."""
-    assert len(candidate) == len(serial)
-    for serial_result, candidate_result in zip(serial, candidate):
-        assert candidate_result.trace_name == serial_result.trace_name
-        assert candidate_result.buffer_name == serial_result.buffer_name
-        assert candidate_result.work_units == serial_result.work_units
-        assert candidate_result.enable_count == serial_result.enable_count
-        assert candidate_result.brownout_count == serial_result.brownout_count
-        assert candidate_result.latency == serial_result.latency
-        assert candidate_result.on_time == serial_result.on_time
-
-
 def test_bench_batched_capacitance_sweep(benchmark, bench_settings):
     """Batched lockstep sweep vs the serial engine on trace-sharing cells.
 
@@ -240,7 +207,7 @@ def test_bench_batched_capacitance_sweep(benchmark, bench_settings):
     simulation, and the ``pool+batch`` backend splits those lanes into
     per-worker shards that batch inside the pool.  Correctness gates the
     test — both grids must agree with the serial grid exactly on every
-    counter.
+    field.
 
     On throughput this shape is the batch engine's hardest case — serial
     skips whole quiescent on-segments of a static lane through an inlined
@@ -302,9 +269,9 @@ def test_bench_batched_capacitance_sweep(benchmark, bench_settings):
     )
     step_batched_seconds = time.perf_counter() - started
 
-    _assert_sweep_matches_serial(serial, batched)
-    _assert_sweep_matches_serial(serial, pool_batch)
-    _assert_sweep_matches_serial(serial, step_batched)
+    assert_sweeps_equivalent(serial, batched)
+    assert_sweeps_equivalent(serial, pool_batch)
+    assert_sweeps_equivalent(serial, step_batched)
 
     speedup = serial_seconds / batched_seconds
     benchmark.extra_info["grid_cells"] = len(serial)
@@ -341,7 +308,7 @@ def test_bench_morphy_batched_sweep(benchmark, bench_settings):
     backend packs the trace's 48 lanes into a single vectorized run and the
     ``pool+batch`` backend shards them across workers.  Correctness gates
     the test — both grids must agree with the serial grid exactly on every
-    counter — and the single-core batched speedup is recorded and asserted
+    field — and the single-core batched speedup is recorded and asserted
     at a conservative floor (locally ~2–2.5×; Morphy's per-step scalar
     Python is heavier than a static's, so the lockstep win is on top of an
     already slower baseline).
@@ -380,8 +347,8 @@ def test_bench_morphy_batched_sweep(benchmark, bench_settings):
     ).results
     pool_batch_seconds = time.perf_counter() - started
 
-    _assert_sweep_matches_serial(serial, batched)
-    _assert_sweep_matches_serial(serial, pool_batch)
+    assert_sweeps_equivalent(serial, batched)
+    assert_sweeps_equivalent(serial, pool_batch)
 
     speedup = serial_seconds / batched_seconds
     benchmark.extra_info["grid_cells"] = len(serial)
@@ -410,7 +377,7 @@ def test_bench_react_batched_sweep(benchmark, bench_settings):
     key), so the batch backend packs the trace's 80 lanes into a single
     vectorized run and the ``pool+batch`` backend shards them across
     workers.  Correctness gates the test — both grids must agree with the
-    serial grid exactly on every counter — and the single-core batched
+    serial grid exactly on every field — and the single-core batched
     speedup is asserted at the 1.3× floor.  REACT's per-step cost is
     round-loop heavy (bank equalization, the harvest argmin scan), so the
     vectorized step costs more dispatches than Morphy's and the lockstep
@@ -451,8 +418,8 @@ def test_bench_react_batched_sweep(benchmark, bench_settings):
     ).results
     pool_batch_seconds = time.perf_counter() - started
 
-    _assert_sweep_matches_serial(serial, batched)
-    _assert_sweep_matches_serial(serial, pool_batch)
+    assert_sweeps_equivalent(serial, batched)
+    assert_sweeps_equivalent(serial, pool_batch)
 
     speedup = serial_seconds / batched_seconds
     benchmark.extra_info["grid_cells"] = len(serial)
@@ -499,7 +466,7 @@ def test_bench_remote_sweep(benchmark, bench_settings):
     remote = run_once(benchmark, remote_runner.run_grid, workloads=SWEEP_WORKLOADS)
     remote_seconds = time.perf_counter() - started
 
-    _assert_sweep_matches_serial(serial, remote)
+    assert_sweeps_equivalent(serial, remote)
 
     report = remote_runner.backend.last_run_report
     benchmark.extra_info["grid_cells"] = len(serial)

@@ -20,7 +20,7 @@ from repro.capacitors.capacitor import Capacitor
 from repro.capacitors.leakage import (
     LeakageModel,
     VoltageProportionalLeakage,
-    stack_proportional_leakage,
+    proportional_leakage,
 )
 from repro.exceptions import ConfigurationError
 from repro.units import capacitor_energy
@@ -29,6 +29,102 @@ from repro.units import capacitor_energy
 #: Chosen to match "typical" (not worst-case datasheet) figures for the
 #: ceramic / electrolytic parts the paper's prototypes use.
 DEFAULT_LEAKAGE_PER_FARAD = 3e-3
+
+_INF = float("inf")
+
+#: Running ``(offered, stored, clipped, delivered, leaked)`` ledger totals.
+LaneLedger = Tuple[float, float, float, float, float]
+
+
+def replay_lane(
+    charge: float,
+    capacitance: float,
+    max_energy: float,
+    leak_current: float,
+    leak_voltage: float,
+    energy_in: float,
+    load: float,
+    dt: float,
+    time: float,
+    max_steps: int,
+    stop_above: float,
+    stop_below: float,
+    brownout_floor: float,
+    drain_floor: float,
+    ledger: LaneLedger,
+) -> Tuple[int, float, float, LaneLedger]:
+    """Replay up to ``max_steps`` harvest → draw → leak steps of one capacitor.
+
+    The one copy of the static buffer's whole-segment recurrence: the
+    scalar fast paths (:meth:`StaticBuffer.fast_forward`,
+    :meth:`StaticBuffer.fast_forward_on`) and the batch kernel's per-lane
+    replay (:meth:`StaticBatchKernel._replay`) all run through it.  Each
+    step reproduces :meth:`~repro.capacitors.capacitor.Capacitor.charge_with_energy`,
+    :meth:`~repro.capacitors.capacitor.Capacitor.discharge_current` (no
+    floor) and :meth:`~repro.capacitors.capacitor.Capacitor.apply_leakage`
+    under a proportional leakage model expression for expression, on
+    Python floats (IEEE-754 doubles, like the numpy kernels), and adds each
+    step's ledger addends to the running ``ledger`` totals in the step
+    path's order, so both the trajectory and the ledger are bit-identical
+    to stepping.
+
+    Every bound is a float (``±inf`` for none).  The replay stops without
+    committing a step that starts at or below ``brownout_floor``, starts at
+    or above ``stop_above``, or whose post-harvest voltage would reach
+    ``stop_above``; it stops after a step that ends below ``stop_below``, or
+    that ends drained: below ``drain_floor`` with too little stored energy
+    to reach it (the engine's drain termination test).
+
+    Returns ``(steps, end_time, charge, ledger)``; ``end_time`` adds ``dt``
+    once per committed step, the engine's additive accumulation.
+    """
+    offered, stored, clipped, delivered, leaked = ledger
+    needed = 0.5 * capacitance * drain_floor * drain_floor
+    sqrt = math.sqrt
+    steps = 0
+    while steps < max_steps:
+        voltage = charge / capacitance
+        if voltage <= brownout_floor or voltage >= stop_above:
+            break
+        if energy_in > 0.0:
+            present = 0.5 * capacitance * voltage * voltage
+            new_energy = present + energy_in
+            if new_energy > max_energy:
+                new_energy = max_energy
+            post_charge = capacitance * sqrt(2.0 * new_energy / capacitance)
+            if post_charge / capacitance >= stop_above:
+                break
+            absorbed = new_energy - present
+            offered += energy_in
+            stored += absorbed
+            clipped += energy_in - absorbed
+            charge = post_charge
+            voltage = charge / capacitance
+        # Load draw (charge domain, floored at zero).
+        before = 0.5 * capacitance * voltage * voltage
+        charge -= load * dt
+        if charge < 0.0:
+            charge = 0.0
+        voltage = charge / capacitance
+        energy = 0.5 * capacitance * voltage * voltage
+        delivered += before - energy
+        # Leakage (the proportional model's charge_lost, capped at the charge).
+        if voltage > 0.0:
+            lost = leak_current * (voltage / leak_voltage) * dt
+            if lost > charge:
+                lost = charge
+            charge -= lost
+            voltage = charge / capacitance
+            before = energy
+            energy = 0.5 * capacitance * voltage * voltage
+            leaked += before - energy
+        time += dt
+        steps += 1
+        if voltage < stop_below:
+            break
+        if voltage < drain_floor and not energy >= needed:
+            break
+    return steps, time, charge, (offered, stored, clipped, delivered, leaked)
 
 
 class StaticBuffer(EnergyBuffer):
@@ -52,12 +148,12 @@ class StaticBuffer(EnergyBuffer):
     supports_longevity = False
 
     #: Whether this class's energy-flow hooks are exactly the single-capacitor
-    #: recurrence :class:`StaticBatchKernel` vectorizes.  Subclasses that
-    #: override ``harvest`` / ``draw`` / ``housekeeping`` /
-    #: ``overhead_current`` with different dynamics must set this False so
-    #: their lanes fall back to the scalar engine (DewdropBuffer keeps it:
-    #: its adaptation lives entirely in the longevity API, which the batch
-    #: engine services through the synced scalar object).
+    #: recurrence of :func:`replay_lane`.  Subclasses that override
+    #: ``harvest`` / ``draw`` / ``housekeeping`` / ``overhead_current`` with
+    #: different dynamics must set this False so their lanes fall back to the
+    #: scalar engine and fast-forward through their own hooks (DewdropBuffer
+    #: keeps it: its adaptation lives entirely in the longevity API, which
+    #: the batch engine services through the synced scalar object).
     batch_exact = True
 
     def __init__(
@@ -145,10 +241,7 @@ class StaticBuffer(EnergyBuffer):
         :class:`StaticBatchKernel` handles heterogeneous capacitances and
         leakage parameters per lane.
         """
-        if (
-            self.batch_exact
-            and stack_proportional_leakage([self._capacitor.leakage]) is not None
-        ):
+        if self.batch_exact and proportional_leakage(self._capacitor.leakage):
             return "static"
         return None
 
@@ -173,76 +266,36 @@ class StaticBuffer(EnergyBuffer):
         stop_below: Optional[float] = None,
         drain_floor: Optional[float] = None,
     ) -> Tuple[int, float]:
-        """Exact inlined off-phase replay for a single buffer capacitor.
+        """Exact off-phase replay through :func:`replay_lane`.
 
-        Performs the same harvest → draw → leak update per step as the
-        step-by-step path (identical expressions, identical operation
-        order, so the trajectory is bit-equal), but on local floats with
-        the ledger totals accumulated once at the end.  A single static
-        capacitor has no controllers to poll, so the whole off interval
-        reduces to this three-operation recurrence.
+        A single static capacitor has no controllers to poll, so the whole
+        off interval reduces to the inlined harvest → draw → leak
+        recurrence.  Buffers whose hooks are not that recurrence
+        (:meth:`batch_key` is None) take the hook-based
+        :meth:`EnergyBuffer.fast_forward` instead.
         """
-        cap = self._capacitor
-        capacitance = cap.capacitance
-        max_energy = cap.max_energy
-        leakage_charge_lost = cap.leakage.charge_lost
-        overhead = self.overhead_current(False)
-        load_current = quiescent_current + overhead
-        energy_in = delivered_power * dt
-        charge = cap._charge
-        time = start_time
-        steps = 0
-        offered = stored_total = clipped_total = 0.0
-        delivered_total = leaked_total = 0.0
-        while steps < max_steps:
-            voltage = charge / capacitance
-            energy = 0.5 * capacitance * voltage * voltage
-            # Harvest (energy-domain charging, clipped at the rated voltage).
-            new_energy = energy
-            if energy_in > 0.0:
-                new_energy = min(energy + energy_in, max_energy)
-                post_charge = capacitance * math.sqrt(2.0 * new_energy / capacitance)
-                if stop_above is not None and post_charge / capacitance >= stop_above:
-                    break  # the gate would engage on this step: leave it to the engine
-                charge = post_charge
-                stored_total += new_energy - energy
-                clipped_total += energy_in - (new_energy - energy)
-                offered += energy_in
-            elif stop_above is not None and voltage >= stop_above:
-                break
-            else:
-                offered += energy_in
-            # Load draw (charge domain, floored at zero).
-            before_energy = new_energy
-            charge = max(charge - load_current * dt, 0.0)
-            voltage = charge / capacitance
-            after_energy = 0.5 * capacitance * voltage * voltage
-            delivered_total += before_energy - after_energy
-            # Leakage (through the model's charge_lost hook, so custom
-            # LeakageModel subclasses stay equivalent to the stepped path).
-            lost_charge = leakage_charge_lost(voltage, dt)
-            if lost_charge > charge:
-                lost_charge = charge
-            charge -= lost_charge
-            voltage = charge / capacitance
-            leaked_total += after_energy - 0.5 * capacitance * voltage * voltage
-            time += dt
-            steps += 1
-            if stop_below is not None and voltage < stop_below:
-                break
-            if drain_floor is not None and voltage < drain_floor:
-                break  # all stored energy sits on the output cap: cannot restart
-        cap._charge = charge
-        cap.ledger.absorbed += stored_total
-        cap.ledger.clipped += clipped_total
-        cap.ledger.delivered += delivered_total
-        cap.ledger.leaked += leaked_total
-        self.ledger.offered += offered
-        self.ledger.stored += stored_total
-        self.ledger.clipped += clipped_total
-        self.ledger.delivered += delivered_total
-        self.ledger.leaked += leaked_total
-        return steps, time
+        if self.batch_key() is None:
+            return super().fast_forward(
+                delivered_power,
+                quiescent_current,
+                dt,
+                start_time,
+                max_steps,
+                stop_above,
+                stop_below,
+                drain_floor,
+            )
+        return self._replay(
+            delivered_power * dt,
+            quiescent_current + self.overhead_current(False),
+            dt,
+            start_time,
+            max_steps,
+            stop_above,
+            stop_below,
+            None,
+            drain_floor,
+        )
 
     def fast_forward_on(
         self,
@@ -256,86 +309,76 @@ class StaticBuffer(EnergyBuffer):
         brownout_floor: Optional[float] = None,
         wake_energy: Optional[float] = None,
     ) -> Tuple[int, float]:
-        """Exact inlined on-phase replay for a single buffer capacitor.
+        """Exact on-phase replay through :func:`replay_lane`.
 
-        Same structure as :meth:`fast_forward` — the identical per-step
-        harvest → draw → leak expressions in the identical order, on local
-        floats, ledger totals accumulated once — but with the on-phase
-        load (the workload's constant demand plus the gate's quiescent
-        current plus this buffer's on-overhead) and the on-phase stop set:
-        a wake voltage / efficiency breakpoint above, the brown-out floor
-        below (checked at step start with the gate's ``<=`` convention —
-        see :meth:`EnergyBuffer.fast_forward_on`), and the conservative
-        usable-energy guard for a pending longevity request (for a single
-        capacitor the usable energy is the stored energy above the
-        brown-out floor).
+        The load is the workload's constant demand plus this buffer's
+        on-overhead, and the brown-out floor is checked at each step start
+        (see :meth:`EnergyBuffer.fast_forward_on`).  A pending longevity
+        request without a wake voltage (``wake_energy``) and buffers whose
+        hooks are not the inlined recurrence take the hook-based
+        :meth:`EnergyBuffer.fast_forward_on` instead.
+        """
+        if wake_energy is not None or self.batch_key() is None:
+            return super().fast_forward_on(
+                delivered_power,
+                load_current,
+                dt,
+                start_time,
+                max_steps,
+                stop_above,
+                stop_below,
+                brownout_floor,
+                wake_energy,
+            )
+        return self._replay(
+            delivered_power * dt,
+            load_current + self.overhead_current(True),
+            dt,
+            start_time,
+            max_steps,
+            stop_above,
+            stop_below,
+            brownout_floor,
+            None,
+        )
+
+    def _replay(self, energy_in, load, dt, time, budget, above, below, floor, drain):
+        """:func:`replay_lane` on this capacitor, with None bounds as ``±inf``.
+
+        The step path adds the same addends to the buffer ledger and the
+        capacitor ledger, so the buffer's running totals seed the replay
+        and its end totals are written to both.
         """
         cap = self._capacitor
-        capacitance = cap.capacitance
-        max_energy = cap.max_energy
-        leakage_charge_lost = cap.leakage.charge_lost
-        total_load = load_current + self.overhead_current(True)
-        energy_in = delivered_power * dt
-        floor_energy = capacitor_energy(capacitance, self.brownout_voltage)
-        charge = cap._charge
-        time = start_time
-        steps = 0
-        offered = stored_total = clipped_total = 0.0
-        delivered_total = leaked_total = 0.0
-        while steps < max_steps:
-            voltage = charge / capacitance
-            if brownout_floor is not None and voltage <= brownout_floor:
-                break  # the gate may disconnect this step: engine decides
-            energy = 0.5 * capacitance * voltage * voltage
-            if wake_energy is not None:
-                usable = energy - floor_energy
-                if usable < 0.0:
-                    usable = 0.0
-                if usable + 2.0 * energy_in >= wake_energy:
-                    break
-            # Harvest (energy-domain charging, clipped at the rated voltage).
-            new_energy = energy
-            if energy_in > 0.0:
-                new_energy = min(energy + energy_in, max_energy)
-                post_charge = capacitance * math.sqrt(2.0 * new_energy / capacitance)
-                if stop_above is not None and post_charge / capacitance >= stop_above:
-                    break  # a wake/breakpoint crossing: leave it to the engine
-                charge = post_charge
-                stored_total += new_energy - energy
-                clipped_total += energy_in - (new_energy - energy)
-                offered += energy_in
-            elif stop_above is not None and voltage >= stop_above:
-                break
-            else:
-                offered += energy_in
-            # Load draw (charge domain, floored at zero).
-            before_energy = new_energy
-            charge = max(charge - total_load * dt, 0.0)
-            voltage = charge / capacitance
-            after_energy = 0.5 * capacitance * voltage * voltage
-            delivered_total += before_energy - after_energy
-            # Leakage (through the model's charge_lost hook, so custom
-            # LeakageModel subclasses stay equivalent to the stepped path).
-            lost_charge = leakage_charge_lost(voltage, dt)
-            if lost_charge > charge:
-                lost_charge = charge
-            charge -= lost_charge
-            voltage = charge / capacitance
-            leaked_total += after_energy - 0.5 * capacitance * voltage * voltage
-            time += dt
-            steps += 1
-            if stop_below is not None and voltage < stop_below:
-                break
-        cap._charge = charge
-        cap.ledger.absorbed += stored_total
-        cap.ledger.clipped += clipped_total
-        cap.ledger.delivered += delivered_total
-        cap.ledger.leaked += leaked_total
-        self.ledger.offered += offered
-        self.ledger.stored += stored_total
-        self.ledger.clipped += clipped_total
-        self.ledger.delivered += delivered_total
-        self.ledger.leaked += leaked_total
+        leak_current, leak_voltage = proportional_leakage(cap.leakage)
+        ledger = self.ledger
+        steps, time, cap._charge, totals = replay_lane(
+            cap._charge,
+            cap.capacitance,
+            cap.max_energy,
+            leak_current,
+            leak_voltage,
+            energy_in,
+            load,
+            dt,
+            time,
+            budget,
+            _INF if above is None else above,
+            -_INF if below is None else below,
+            -_INF if floor is None else floor,
+            -_INF if drain is None else drain,
+            (
+                ledger.offered,
+                ledger.stored,
+                ledger.clipped,
+                ledger.delivered,
+                ledger.leaked,
+            ),
+        )
+        ledger.offered, ledger.stored, ledger.clipped = totals[:3]
+        ledger.delivered, ledger.leaked = totals[3:]
+        cap.ledger.absorbed, cap.ledger.clipped = totals[1:3]
+        cap.ledger.delivered, cap.ledger.leaked = totals[3:]
         return steps, time
 
     # -- lifecycle ----------------------------------------------------------------------
@@ -451,175 +494,84 @@ class StaticBatchKernel(LockstepKernel):
     # -- whole-segment replay ------------------------------------------------
 
     def fast_forward(self, energy_in, load, dt, times, plan):
-        """Per-lane inlined off-phase replay (see :meth:`_replay`)."""
-        return self._replay(
-            energy_in,
-            load,
-            dt,
-            times,
-            plan.steps,
-            plan.stop_above,
-            plan.stop_below,
-            drain_floor=plan.drain_floor,
-            brownout_floor=None,
-        )
+        """Per-lane off-phase replay (see :meth:`_replay`)."""
+        return self._replay(energy_in, load, dt, times, plan, None)
 
     def fast_forward_on(self, energy_in, load, dt, times, plan, brownout_floor):
-        """Per-lane inlined on-phase replay (see :meth:`_replay`)."""
-        return self._replay(
-            energy_in,
-            load,
-            dt,
-            times,
-            plan.steps,
-            plan.stop_above,
-            plan.stop_below,
-            drain_floor=None,
-            brownout_floor=brownout_floor,
-        )
+        """Per-lane on-phase replay (see :meth:`_replay`)."""
+        return self._replay(energy_in, load, dt, times, plan, brownout_floor)
 
-    def _replay(
-        self,
-        energy_in,
-        load,
-        dt,
-        times,
-        max_steps,
-        stop_above,
-        stop_below,
-        drain_floor,
-        brownout_floor,
-    ):
-        """Whole-segment replay on local Python floats, one lane at a time.
+    def _replay(self, energy_in, load, dt, times, plan, brownout_floor):
+        """Whole-segment replay, one :func:`replay_lane` call per lane.
 
         Overrides the generic :class:`~repro.buffers.base.LockstepKernel`
         array replay: a static lane's per-step update is only a handful of
-        float operations (the same harvest → draw → leak recurrence
-        :meth:`StaticBuffer.fast_forward` inlines for the scalar engine),
-        so replaying each lane in a local-variable loop beats per-step
-        vectorized dispatch on every batch width that fits in memory.  The
-        expressions, their order, and the per-step running-total ledger
-        accumulation replicate :class:`~repro.capacitors.array.CapacitorArray`
-        operation for operation — python floats and numpy float64 share
-        IEEE-754 double arithmetic — so the committed trajectory *and*
-        ledger stay bit-identical to lockstep stepping, and the stop set
-        matches the generic replay's (exact post-harvest voltage above,
-        efficiency breakpoint below, brown-out floor / drain termination).
+        float operations, so replaying each lane on local Python floats
+        beats per-step vectorized dispatch on every batch width that fits
+        in memory.  :func:`replay_lane` reproduces
+        :class:`~repro.capacitors.array.CapacitorArray` operation for
+        operation with running-total ledgers, so the committed trajectory
+        and ledger stay bit-identical to lockstep stepping, and its stop
+        set is the generic replay's.
         """
+        max_steps = plan.steps
         consumed = np.zeros(len(max_steps), dtype=np.int64)
         times = times.copy()
         lanes = np.nonzero(max_steps > 0)[0].tolist()
         if not lanes:
             return consumed, times
         caps = self.caps
-        capacitance_list = caps.capacitance.tolist()
-        max_energy_list = caps.max_energy.tolist()
-        leak_current_list = caps.leak_rated_current.tolist()
-        leak_voltage_list = caps.leak_rated_voltage.tolist()
-        charge_list = caps.charge.tolist()
-        absorbed_list = caps.absorbed.tolist()
-        clipped_list = caps.clipped.tolist()
-        delivered_list = caps.delivered.tolist()
-        leaked_list = caps.leaked.tolist()
-        offered_list = self.offered.tolist()
-        energy_list = np.asarray(energy_in).tolist()
-        load_list = np.asarray(load).tolist()
-        budget_list = max_steps.tolist()
-        above_list = stop_above.tolist()
-        below_list = stop_below.tolist()
-        drain_list = drain_floor.tolist() if drain_floor is not None else None
-        floor_list = (
-            np.asarray(brownout_floor).tolist()
-            if brownout_floor is not None
-            else None
+        capacitance = caps.capacitance.tolist()
+        max_energy = caps.max_energy.tolist()
+        leak_current = caps.leak_rated_current.tolist()
+        leak_voltage = caps.leak_rated_voltage.tolist()
+        charge = caps.charge.tolist()
+        ledgers = list(
+            zip(
+                self.offered.tolist(),
+                caps.absorbed.tolist(),
+                caps.clipped.tolist(),
+                caps.delivered.tolist(),
+                caps.leaked.tolist(),
+            )
         )
-        time_list = times.tolist()
+        energy = np.asarray(energy_in).tolist()
+        current = np.asarray(load).tolist()
+        budget = max_steps.tolist()
+        above = plan.stop_above.tolist()
+        below = plan.stop_below.tolist()
+        drain = plan.drain_floor.tolist()
+        if brownout_floor is None:
+            floor = [-_INF] * len(budget)
+        else:
+            floor = np.asarray(brownout_floor).tolist()
+        start = times.tolist()
         dt = float(dt)
-        sqrt = math.sqrt
-        never = float("-inf")
         for i in lanes:
-            capacitance = capacitance_list[i]
-            max_energy = max_energy_list[i]
-            leak_current = leak_current_list[i]
-            leak_voltage = leak_voltage_list[i]
-            energy_step = energy_list[i]
-            current = load_list[i]
-            above = above_list[i]
-            below = below_list[i]
-            floor = floor_list[i] if floor_list is not None else never
-            budget = budget_list[i]
-            charge = charge_list[i]
-            absorbed = absorbed_list[i]
-            clipped = clipped_list[i]
-            delivered = delivered_list[i]
-            leaked = leaked_list[i]
-            offered = offered_list[i]
-            lane_time = time_list[i]
-            if drain_list is not None:
-                drain = drain_list[i]
-                check_drain = drain > never
-                needed = 0.5 * capacitance * drain * drain if check_drain else 0.0
-            else:
-                drain = never
-                check_drain = False
-                needed = 0.0
-            steps = 0
-            while steps < budget:
-                voltage = charge / capacitance
-                if voltage <= floor:
-                    break
-                if voltage >= above:
-                    break
-                if energy_step > 0.0:
-                    present = 0.5 * capacitance * voltage * voltage
-                    new_energy = present + energy_step
-                    if new_energy > max_energy:
-                        new_energy = max_energy
-                    post_charge = capacitance * sqrt(
-                        2.0 * new_energy / capacitance
-                    )
-                    if post_charge / capacitance >= above:
-                        break
-                    offered += energy_step
-                    stored = new_energy - present
-                    absorbed += stored
-                    clipped += energy_step - stored
-                    charge = post_charge
-                # Load draw (charge domain, floored at zero).
-                voltage = charge / capacitance
-                before = 0.5 * capacitance * voltage * voltage
-                new_charge = charge - current * dt
-                if new_charge < 0.0:
-                    new_charge = 0.0
-                charge = new_charge
-                voltage = charge / capacitance
-                delivered += before - 0.5 * capacitance * voltage * voltage
-                # Leakage (the vectorized proportional model's expression).
-                if voltage > 0.0:
-                    lost = leak_current * (voltage / leak_voltage) * dt
-                    if lost > charge:
-                        lost = charge
-                else:
-                    lost = 0.0
-                before = 0.5 * capacitance * voltage * voltage
-                charge = charge - lost
-                voltage = charge / capacitance
-                leaked += before - 0.5 * capacitance * voltage * voltage
-                lane_time += dt
-                steps += 1
-                if voltage < below:
-                    break
-                if check_drain and voltage < drain:
-                    if not (0.5 * capacitance * voltage * voltage >= needed):
-                        break
-            caps.charge[i] = charge
-            caps.absorbed[i] = absorbed
-            caps.clipped[i] = clipped
-            caps.delivered[i] = delivered
-            caps.leaked[i] = leaked
-            self.offered[i] = offered
-            times[i] = lane_time
-            consumed[i] = steps
+            consumed[i], times[i], caps.charge[i], totals = replay_lane(
+                charge[i],
+                capacitance[i],
+                max_energy[i],
+                leak_current[i],
+                leak_voltage[i],
+                energy[i],
+                current[i],
+                dt,
+                start[i],
+                budget[i],
+                above[i],
+                below[i],
+                floor[i],
+                drain[i],
+                ledgers[i],
+            )
+            (
+                self.offered[i],
+                caps.absorbed[i],
+                caps.clipped[i],
+                caps.delivered[i],
+                caps.leaked[i],
+            ) = totals
         return consumed, times
 
     def compact(self, keep: np.ndarray) -> None:

@@ -113,12 +113,21 @@ def stack_proportional_leakage(
     rated_currents = np.empty(len(models))
     rated_voltages = np.empty(len(models))
     for index, model in enumerate(models):
-        if type(model) is VoltageProportionalLeakage:
-            rated_currents[index] = model.rated_current
-            rated_voltages[index] = model.rated_voltage
-        elif type(model) is NoLeakage:
-            rated_currents[index] = 0.0
-            rated_voltages[index] = 1.0
-        else:
+        parameters = proportional_leakage(model)
+        if parameters is None:
             return None
+        rated_currents[index], rated_voltages[index] = parameters
     return rated_currents, rated_voltages
+
+
+def proportional_leakage(model: LeakageModel) -> Optional[Tuple[float, float]]:
+    """``model``'s ``(rated_current, rated_voltage)``, or None.
+
+    The scalar form of :func:`stack_proportional_leakage`: None when the
+    model has no closed proportional form.
+    """
+    if type(model) is VoltageProportionalLeakage:
+        return model.rated_current, model.rated_voltage
+    if type(model) is NoLeakage:
+        return 0.0, 1.0
+    return None

@@ -431,11 +431,12 @@ class PoolBatchBackend:
     each group is split into contiguous shards (so every worker gets a wide
     lane block rather than single cells), and each shard runs one
     :class:`~repro.sim.batch.BatchSimulator` in its worker process.
-    Unbatchable specs (REACT is the only paper-grid buffer without a
-    lockstep kernel; the Capybara extension also lacks one) ride the same
-    pool as individual scalar jobs — which the plain batch backend runs
-    serially — so this backend stacks both speedups and also parallelizes
-    the scalar remainder.
+    Unbatchable specs ride the same pool as individual scalar jobs, which
+    the plain batch backend runs serially, so this backend stacks both
+    speedups and also parallelizes the scalar remainder.  They are the
+    Capybara extension, which has no lockstep kernel, and lane groups
+    narrower than ``min_lanes``, such as the paper grid's four REACT lanes
+    per trace.
 
     Shards are contiguous slices of one (trace, kernel) lane group and
     never mix groups: every lane in a shard shares the trace, the timestep

@@ -31,13 +31,11 @@ Equivalence contract
 --------------------
 
 For every batched buffer architecture the per-lane trajectory (charge,
-gate transitions, timestamps, workload behaviour) is **bit-identical** to
-running that lane alone through the scalar engine with
-``fast_forward=False``, because every vectorized expression mirrors the
-scalar update rule operation for operation.  The energy-ledger totals agree
-with the scalar engine's default fast path to floating-point summation
-order (the fast path batches additions differently), which is far inside
-the ``1e-9`` relative tolerance the equivalence tests pin.
+gate transitions, timestamps, workload behaviour) and energy ledger are
+**bit-identical** to running that lane alone through the scalar engine,
+with or without its fast paths, because every vectorized expression and
+every whole-segment replay mirrors the scalar update rule operation for
+operation, ledger additions included.
 
 Two scalar behaviours are reproduced in aggregated form, exactly as the
 scalar off-phase fast path already does: while a lane is off, its workload

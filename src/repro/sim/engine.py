@@ -44,11 +44,11 @@ fast-forwards whole constant-power intervals through
 sample boundaries, predicted enable-threshold crossings, regulator
 efficiency breakpoints, pending recorder sample points, and the drain
 termination test.  Buffer implementations replay exactly the per-step
-update rule of the step-by-step path (statics in a fully inlined loop, the
-adaptive designs through a conservative generic fallback), so results are
-equal to the step-by-step engine up to floating-point summation order of
-the energy ledgers; pass ``fast_forward=False`` to force pure step-by-step
-execution.
+update rule of the step-by-step path, ledger additions included (statics
+in one inlined loop, :func:`~repro.buffers.static.replay_lane`, the
+adaptive designs through a conservative generic fallback), so results —
+energy ledgers too — equal the step-by-step engine's exactly; pass
+``fast_forward=False`` to force pure step-by-step execution.
 
 On-phase fast path (workload quiescence)
 ----------------------------------------

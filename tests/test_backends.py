@@ -11,10 +11,9 @@ Three contracts are pinned here:
   Morphy-kernel lanes shard into lockstep batches, the unbatchable REACT
   cells fan out as scalar pool jobs, and Morphy groups narrower than
   ``min_lanes`` run scalar too) and
-  returns the serial backend's results in serial order, under the same
-  discipline as ``tests/test_batch_engine.py``: counters and times exactly,
-  energy ledgers to 1e-9 (lockstep lanes may differ from the scalar fast
-  path in floating-point summation order only).
+  returns the serial backend's results in serial order, exactly
+  (``tests/oracle.py``: counters, times, metrics and energy ledgers all
+  ``==``).
 * **Ordered collection** — pool-style backends must hide out-of-order
   worker completion.
 """
@@ -45,34 +44,9 @@ from repro.experiments import sweep
 from repro.sim.results import SimulationResult
 from repro.units import microfarads, millifarads
 
+from oracle import assert_results_equivalent
+
 QUICK = ExperimentSettings(quick=True)
-
-#: Result fields every backend must reproduce exactly (counters and
-#: additively accumulated timestamps whose arithmetic is replicated
-#: operation for operation in the lockstep engine).
-EXACT_FIELDS = (
-    "latency",
-    "simulated_time",
-    "on_time",
-    "active_time",
-    "enable_count",
-    "brownout_count",
-    "work_units",
-)
-
-
-def assert_results_equivalent(reference, candidate):
-    """Candidate results must match the serial reference per the contract."""
-    assert reference.trace_name == candidate.trace_name
-    assert reference.buffer_name == candidate.buffer_name
-    assert reference.workload_name == candidate.workload_name
-    for field in EXACT_FIELDS:
-        assert getattr(reference, field) == getattr(candidate, field), field
-    assert reference.workload_metrics == candidate.workload_metrics
-    for key, value in reference.buffer_ledger.items():
-        assert candidate.buffer_ledger[key] == pytest.approx(
-            value, rel=1e-9, abs=1e-15
-        ), key
 
 
 def slow_then_fast_buffers():

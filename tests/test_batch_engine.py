@@ -1,9 +1,8 @@
 """Vectorized multi-system batch engine: equivalence and infrastructure.
 
 The batch engine's contract is that every batched lane reproduces the
-scalar engine's results: bit-identically against step-by-step execution,
-and within floating-point summation order (pinned at 1e-9 relative
-tolerance) against the scalar engine's default off-phase fast path.  These
+scalar engine's results exactly (``tests/oracle.py``), against both
+step-by-step execution and the scalar engine's default fast paths.  These
 tests pin that contract on the full quick-mode grid for every batched
 buffer (the statics and Dewdrop), exercise lane divergence and retirement,
 the scalar tail hand-off, the per-lane fallback for unbatchable buffers,
@@ -42,20 +41,9 @@ from repro.sim.engine import Simulator
 from repro.sim.system import BatterylessSystem
 from repro.units import microfarads, milliamps, millifarads
 
-QUICK = ExperimentSettings(quick=True)
+from oracle import assert_results_equivalent
 
-#: Result fields the batch engine must reproduce exactly (they are counters
-#: or additively accumulated timestamps whose arithmetic is replicated
-#: operation for operation).
-EXACT_FIELDS = (
-    "latency",
-    "simulated_time",
-    "on_time",
-    "active_time",
-    "enable_count",
-    "brownout_count",
-    "work_units",
-)
+QUICK = ExperimentSettings(quick=True)
 
 
 def static_and_dewdrop_buffers():
@@ -111,23 +99,6 @@ def build_system(trace, buffer, workload_name, trace_name, regulator=None):
         mcu=MSP430FR5994(),
         regulator=regulator,
     )
-
-
-def assert_results_equivalent(reference, batched, exact_ledgers=False):
-    """Batched results must match the scalar reference per the contract."""
-    assert reference.trace_name == batched.trace_name
-    assert reference.buffer_name == batched.buffer_name
-    assert reference.workload_name == batched.workload_name
-    for field in EXACT_FIELDS:
-        assert getattr(reference, field) == getattr(batched, field), field
-    assert reference.workload_metrics == batched.workload_metrics
-    for key, value in reference.buffer_ledger.items():
-        if exact_ledgers:
-            assert batched.buffer_ledger[key] == value, key
-        else:
-            assert batched.buffer_ledger[key] == pytest.approx(
-                value, rel=1e-9, abs=1e-15
-            ), key
 
 
 class TestBatchability:
@@ -272,7 +243,7 @@ class TestBatchSimulatorEquivalence:
             systems(), scalar_tail_lanes=0, **simulator_kwargs()
         ).run()
         for ref, got in zip(reference, batched):
-            assert_results_equivalent(ref, got, exact_ledgers=True)
+            assert_results_equivalent(ref, got)
 
     def test_lane_divergence_and_retirement(self):
         """Lanes with wildly different lifetimes retire independently."""
@@ -346,7 +317,7 @@ class TestBatchSimulatorEquivalence:
             systems(), fast_forward=False, **simulator_kwargs()
         ).run()
         for ref, got in zip(reference, batched):
-            assert_results_equivalent(ref, got, exact_ledgers=True)
+            assert_results_equivalent(ref, got)
 
     def test_single_lane_batch_delegates_to_scalar_engine(self):
         trace = QUICK.trace("RF Cart")
@@ -359,7 +330,7 @@ class TestBatchSimulatorEquivalence:
             **simulator_kwargs(),
         ).run()
         assert len(batched) == 1
-        assert_results_equivalent(reference, batched[0], exact_ledgers=True)
+        assert_results_equivalent(reference, batched[0])
 
     def test_precharged_lanes_enable_on_the_first_step(self):
         """A lane starting at the enable threshold matches scalar exactly.
@@ -502,7 +473,7 @@ class TestBatchSimulatorEquivalence:
         retire_times = {r.simulated_time for r in reference}
         assert len(retire_times) > 1  # lanes retire at different timestamps
         for ref, got in zip(reference, batched):
-            assert_results_equivalent(ref, got, exact_ledgers=True)
+            assert_results_equivalent(ref, got)
 
     def test_retirement_inside_skipped_segment_with_and_without_ff(self):
         """Fast-forwarding must not shift when a lane retires.
@@ -532,15 +503,15 @@ class TestBatchSimulatorEquivalence:
             systems(), scalar_tail_lanes=0, **simulator_kwargs()
         ).run()
         for ref, got in zip(stepped, fast):
-            assert_results_equivalent(ref, got, exact_ledgers=True)
+            assert_results_equivalent(ref, got)
 
 
 class TestMorphyBatchEquivalence:
     """The Morphy lockstep kernel against the scalar engine.
 
-    Same discipline as the static lanes: bit-identical against step-by-step
-    execution (counters, timestamps, *and* ledgers), 1e-9 ledgers against
-    the scalar default fast path.  The lanes mix workloads and unit
+    Same discipline as the static lanes: exact against both step-by-step
+    execution and the scalar default fast path (counters, timestamps, *and*
+    ledgers).  The lanes mix workloads and unit
     capacitances so configuration levels, poll schedules, and gate states
     all diverge across the batch.
     """
@@ -562,7 +533,7 @@ class TestMorphyBatchEquivalence:
             self.systems(trace), scalar_tail_lanes=0, **simulator_kwargs()
         ).run()
         for ref, got in zip(reference, batched):
-            assert_results_equivalent(ref, got, exact_ledgers=True)
+            assert_results_equivalent(ref, got)
 
     def test_reconfiguration_heavy_lanes_match_bitwise(self):
         """Solar lanes drive the 10 Hz controller through many level changes."""
@@ -577,7 +548,7 @@ class TestMorphyBatchEquivalence:
             **simulator_kwargs(),
         ).run()
         for ref, got in zip(reference, batched):
-            assert_results_equivalent(ref, got, exact_ledgers=True)
+            assert_results_equivalent(ref, got)
 
     def test_reconfiguration_counts_write_back(self):
         """The kernel's per-lane reconfiguration tally lands on the buffers."""
@@ -611,9 +582,9 @@ class TestMorphyBatchEquivalence:
 class TestReactBatchEquivalence:
     """The REACT lockstep kernel against the scalar engine.
 
-    Same discipline as the static and Morphy lanes: bit-identical against
-    step-by-step execution (counters, timestamps, *and* ledgers), 1e-9
-    ledgers against the scalar default fast path.  The lanes mix workloads
+    Same discipline as the static and Morphy lanes: exact against both
+    step-by-step execution and the scalar default fast path (counters,
+    timestamps, *and* ledgers).  The lanes mix workloads
     and polling hints so poll schedules, bank states, and power-gate
     phases all diverge across the batch.
     """
@@ -636,7 +607,7 @@ class TestReactBatchEquivalence:
             **simulator_kwargs(),
         ).run()
         for ref, got in zip(reference, batched):
-            assert_results_equivalent(ref, got, exact_ledgers=True)
+            assert_results_equivalent(ref, got)
 
     def test_fast_forward_matches_scalar_fast_path(self):
         trace = QUICK.trace("RF Cart")
@@ -664,7 +635,7 @@ class TestReactBatchEquivalence:
             **simulator_kwargs(),
         ).run()
         for ref, got in zip(reference, batched):
-            assert_results_equivalent(ref, got, exact_ledgers=True)
+            assert_results_equivalent(ref, got)
 
     def test_controller_and_fabric_state_write_back(self):
         """Finalized lanes land every counter on the live objects exactly:
@@ -745,7 +716,7 @@ class TestReactBatchEquivalence:
             **simulator_kwargs(),
         ).run()
         for ref, got in zip(unclustered, clustered):
-            assert_results_equivalent(ref, got, exact_ledgers=True)
+            assert_results_equivalent(ref, got)
 
     def test_scalar_tail_handoff_changes_nothing(self):
         trace = QUICK.trace("RF Cart")
@@ -916,7 +887,7 @@ class TestFullGridEquivalence:
             QUICK, backend=BatchBackend(min_lanes=100)
         ).run_grid(workloads=("DE",), trace_names=("RF Cart",))
         for ref, got in zip(serial, batched):
-            assert_results_equivalent(ref, got, exact_ledgers=True)
+            assert_results_equivalent(ref, got)
 
 
 class TestBatchedExecutionWiring:

@@ -3,8 +3,8 @@
 The ROADMAP item landed: randomized synthetic traces and system
 configurations are simulated twice — once with every fast path enabled and
 once with ``Simulator(fast_forward=False)`` as the step-by-step oracle —
-and the runs must agree on exact counters (including the per-step additive
-time accumulations) with energy ledgers within 1e-9 relative tolerance.
+and the runs must agree exactly (``tests/oracle.py``): counters, the
+per-step additive time accumulations, workload metrics and energy ledgers.
 
 The generator is a hand-rolled seeded sampler rather than a hypothesis
 dependency: the case space (trace shape × buffer family × workload ×
@@ -32,16 +32,7 @@ from repro.workloads.packet_forwarding import PacketForwarding
 from repro.workloads.radio_transmit import RadioTransmit
 from repro.workloads.sense_compute import SenseAndCompute
 
-#: Fields that must agree bit-for-bit between the fast and oracle runs.
-EXACT_FIELDS = (
-    "latency",
-    "simulated_time",
-    "on_time",
-    "active_time",
-    "enable_count",
-    "brownout_count",
-    "work_units",
-)
+from oracle import assert_results_equivalent
 
 
 def random_trace(rng: np.random.Generator) -> PowerTrace:
@@ -132,15 +123,7 @@ def test_fast_forward_matches_step_by_step_oracle(case_seed):
     reference = run_case(case_seed, fast_forward=False)
     fast = run_case(case_seed, fast_forward=True)
     context = f"case_seed={case_seed} {reference.buffer_name}/{reference.workload_name}"
-    for field in EXACT_FIELDS:
-        assert getattr(fast, field) == getattr(reference, field), (
-            f"{context}: {field}"
-        )
-    assert fast.workload_metrics == reference.workload_metrics, context
-    for key, value in reference.buffer_ledger.items():
-        assert fast.buffer_ledger[key] == pytest.approx(
-            value, rel=1e-9, abs=1e-15
-        ), f"{context}: {key}"
+    assert_results_equivalent(reference, fast, context)
 
 
 def build_batch_case(case_seed: int):
@@ -204,7 +187,7 @@ def test_batch_lane_mix_matches_step_by_step_oracle(case_seed):
     Every randomized lane of a trace-sharing batch — including lanes that
     fast-forward whole segments while their neighbours step, brown out,
     or retire — must agree with the step-by-step scalar oracle on the
-    exact counters, with ledgers within summation-order tolerance.
+    exact counters and ledgers.
     """
     systems, kwargs = build_batch_case(case_seed)
     reference = [
@@ -217,15 +200,7 @@ def test_batch_lane_mix_matches_step_by_step_oracle(case_seed):
             f"case_seed={case_seed} lane={lane} "
             f"{oracle.buffer_name}/{oracle.workload_name}"
         )
-        for field in EXACT_FIELDS:
-            assert getattr(fast, field) == getattr(oracle, field), (
-                f"{context}: {field}"
-            )
-        assert fast.workload_metrics == oracle.workload_metrics, context
-        for key, value in oracle.buffer_ledger.items():
-            assert fast.buffer_ledger[key] == pytest.approx(
-                value, rel=1e-9, abs=1e-15
-            ), f"{context}: {key}"
+        assert_results_equivalent(oracle, fast, context)
 
 
 def build_mixed_grid_case(case_seed: int):
@@ -276,7 +251,7 @@ def test_mixed_react_static_grid_matches_step_by_step_oracle(case_seed):
     Interleaved REACT and static/Dewdrop lanes are partitioned by
     ``batch_key`` (the backend's contract) into per-family lockstep
     kernels; every lane must agree with the step-by-step scalar oracle on
-    the exact counters, with ledgers within summation-order tolerance.
+    the exact counters and ledgers.
     """
     systems, kwargs = build_mixed_grid_case(case_seed)
     reference = [
@@ -300,12 +275,4 @@ def test_mixed_react_static_grid_matches_step_by_step_oracle(case_seed):
             f"case_seed={case_seed} lane={lane} "
             f"{oracle.buffer_name}/{oracle.workload_name}"
         )
-        for field in EXACT_FIELDS:
-            assert getattr(fast, field) == getattr(oracle, field), (
-                f"{context}: {field}"
-            )
-        assert fast.workload_metrics == oracle.workload_metrics, context
-        for key, value in oracle.buffer_ledger.items():
-            assert fast.buffer_ledger[key] == pytest.approx(
-                value, rel=1e-9, abs=1e-15
-            ), f"{context}: {key}"
+        assert_results_equivalent(oracle, fast, context)

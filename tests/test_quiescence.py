@@ -6,7 +6,7 @@ Three layers are pinned here:
   demand they promise, and that ``skip_quiescent`` reproduces stepped
   execution exactly;
 * the scalar engine's on-phase fast forwarding — bit-identical counters
-  (including ``on_time``/``active_time``) and 1e-9 ledgers against
+  (including ``on_time``/``active_time``) and ledgers against
   ``Simulator(fast_forward=False)`` on the full quick grid for every
   buffer in ``BUFFER_ORDER``, plus the related-work extensions whose
   longevity waits exercise the wake-voltage (Dewdrop) and usable-energy
@@ -41,20 +41,9 @@ from repro.workloads.packet_forwarding import PacketForwarding
 from repro.workloads.radio_transmit import RadioTransmit
 from repro.workloads.sense_compute import SenseAndCompute
 
-QUICK = ExperimentSettings(quick=True)
+from oracle import assert_results_equivalent
 
-#: Result fields the on-phase fast path must reproduce bit-exactly: they
-#: are counters, or per-step additive accumulations whose arithmetic the
-#: fast path replays operation for operation.
-EXACT_FIELDS = (
-    "latency",
-    "simulated_time",
-    "on_time",
-    "active_time",
-    "enable_count",
-    "brownout_count",
-    "work_units",
-)
+QUICK = ExperimentSettings(quick=True)
 
 
 def simulator_kwargs(settings=QUICK):
@@ -69,17 +58,6 @@ def build_system(trace, buffer, workload_name, trace_name):
     return BatterylessSystem.build(
         trace, buffer, make_workload(workload_name, trace_name), mcu=MSP430FR5994()
     )
-
-
-def assert_results_equivalent(reference, fast):
-    """``fast_forward=True`` results against the step-by-step oracle."""
-    for field in EXACT_FIELDS:
-        assert getattr(reference, field) == getattr(fast, field), field
-    assert reference.workload_metrics == fast.workload_metrics
-    for key, value in reference.buffer_ledger.items():
-        assert fast.buffer_ledger[key] == pytest.approx(
-            value, rel=1e-9, abs=1e-15
-        ), key
 
 
 def on_ctx(buffer=None, time=0.0, dt=0.02):
@@ -343,11 +321,7 @@ class TestBatchHintMasks:
             self.lanes(trace, "RF Cart"), scalar_tail_lanes=0, **simulator_kwargs()
         ).run()
         for ref, got in zip(reference, batched):
-            for field in EXACT_FIELDS:
-                assert getattr(ref, field) == getattr(got, field), field
-            assert ref.workload_metrics == got.workload_metrics
-            for key, value in ref.buffer_ledger.items():
-                assert got.buffer_ledger[key] == value, key
+            assert_results_equivalent(ref, got)
 
     def test_fast_forward_false_disables_the_hint_masks(self):
         """The step-by-step ablation must not consult hints at all."""
@@ -399,9 +373,7 @@ class TestBatchHintMasks:
         ]
         batched = BatchSimulator(systems(), scalar_tail_lanes=0, **kwargs).run()
         for ref, got in zip(reference, batched):
-            for field in EXACT_FIELDS:
-                assert getattr(ref, field) == getattr(got, field), field
-            assert ref.workload_metrics == got.workload_metrics
+            assert_results_equivalent(ref, got)
 
     def test_quiescence_hint_shape(self):
         """The hint tuple is the documented three-field contract + demand."""

@@ -10,8 +10,7 @@ Four contracts are pinned here:
   split below ``min_lanes``, and shard-internal order is spec order.
 * **Bit-equality** — the full quick grid through ``remote:serial`` with
   local worker processes returns the serial backend's results in serial
-  order under the same discipline as ``tests/test_batch_engine.py``
-  (exact counters, 1e-9 ledgers) — including with a worker SIGKILLed
+  order, exactly (``tests/oracle.py``) — including with a worker SIGKILLed
   mid-sweep.
 * **Fault tolerance** — stalled workers trip the per-shard timeout and
   their shards are requeued elsewhere; an exhausted retry budget raises
@@ -33,7 +32,7 @@ import threading
 import time
 
 import pytest
-from test_backends import assert_results_equivalent
+from oracle import assert_results_equivalent
 
 from repro.buffers.capybara import CapybaraBuffer
 from repro.buffers.static import StaticBuffer

@@ -22,6 +22,8 @@ from repro.units import millifarads
 from repro.workloads.data_encryption import DataEncryption
 from repro.workloads.sense_compute import SenseAndCompute
 
+from oracle import assert_results_equivalent
+
 
 class TestBatterylessSystem:
     def test_build_and_reset(self, steady_trace):
@@ -214,6 +216,18 @@ class TestRecorderConventions:
             assert grid_point - 1e-9 <= recorded < grid_point + step + 1e-9
 
 
+class HalfHarvestBuffer(StaticBuffer):
+    """A static capacitor that stores only half of each harvest."""
+
+    batch_exact = False
+
+    def __init__(self):
+        super().__init__(millifarads(10.0), name="half-harvest")
+
+    def harvest(self, energy: float, dt: float) -> float:
+        return super().harvest(0.5 * energy, dt)
+
+
 class TestFastForwardEquivalence:
     """The off-phase fast path must match the step-by-step engine."""
 
@@ -247,20 +261,19 @@ class TestFastForwardEquivalence:
         fast = self._run(
             short_rf_trace, fresh_buffer(), workload_factory(), fast_forward=True
         )
-        assert fast.work_units == reference.work_units
-        assert fast.enable_count == reference.enable_count
-        assert fast.brownout_count == reference.brownout_count
-        assert fast.latency == reference.latency
-        assert fast.simulated_time == reference.simulated_time
-        assert fast.on_time == pytest.approx(reference.on_time, rel=1e-12, abs=1e-9)
-        assert fast.energy_delivered_to_load == pytest.approx(
-            reference.energy_delivered_to_load, rel=1e-9, abs=1e-15
+        assert_results_equivalent(reference, fast)
+
+    @pytest.mark.parametrize("workload_factory", [DataEncryption, SenseAndCompute])
+    def test_overridden_hooks_bypass_the_inlined_recurrence(
+        self, short_rf_trace, workload_factory
+    ):
+        """A subclass that opts out of ``batch_exact`` must be fast-forwarded
+        through its own hooks, not the inlined single-capacitor recurrence."""
+        reference = self._run(
+            short_rf_trace, HalfHarvestBuffer(), workload_factory(), False
         )
-        assert fast.energy_offered == pytest.approx(
-            reference.energy_offered, rel=1e-9, abs=1e-15
-        )
-        for key, value in reference.workload_metrics.items():
-            assert fast.workload_metrics[key] == pytest.approx(value, rel=1e-9), key
+        fast = self._run(short_rf_trace, HalfHarvestBuffer(), workload_factory(), True)
+        assert_results_equivalent(reference, fast)
 
     def test_recorder_timeline_is_preserved(self, steady_trace):
         recorders = []

@@ -12,8 +12,8 @@ Four contracts are pinned here:
 * **Concurrency** — writes are atomic under a process pool hammering the
   same keys; no torn entry is ever loadable.
 * **Equivalence** — ``cached:serial`` returns the serial backend's results
-  on the full quick grid under the ``test_batch_engine`` discipline (exact
-  counters, 1e-9 ledgers), both cold and warm, and the warm run performs
+  exactly on the full quick grid (``tests/oracle.py``: counters, metrics
+  and ledgers all ``==``), both cold and warm, and the warm run performs
   zero simulator steps (proven with an inner backend that raises).
 """
 
@@ -51,35 +51,9 @@ from repro.experiments.store import (
 from repro.sim.results import SimulationResult
 from repro.units import microfarads
 
+from oracle import assert_results_equivalent
+
 QUICK = ExperimentSettings(quick=True)
-
-#: Result fields every backend must reproduce exactly (same contract as
-#: tests/test_backends.py).
-EXACT_FIELDS = (
-    "latency",
-    "simulated_time",
-    "on_time",
-    "active_time",
-    "enable_count",
-    "brownout_count",
-    "work_units",
-)
-
-
-def assert_results_equivalent(reference, candidate):
-    """Candidate results must match the serial reference per the contract."""
-    assert reference.trace_name == candidate.trace_name
-    assert reference.buffer_name == candidate.buffer_name
-    assert reference.workload_name == candidate.workload_name
-    for field_name in EXACT_FIELDS:
-        assert getattr(reference, field_name) == getattr(candidate, field_name), (
-            field_name
-        )
-    assert reference.workload_metrics == candidate.workload_metrics
-    for key, value in reference.buffer_ledger.items():
-        assert candidate.buffer_ledger[key] == pytest.approx(
-            value, rel=1e-9, abs=1e-15
-        ), key
 
 
 def make_spec(**overrides) -> RunSpec:
