@@ -17,7 +17,7 @@ Run everything from the command line::
     react-repro table2 --backend pool+batch   # stack both sweep speedups
 """
 
-from repro.experiments.runner import ExperimentSettings, ExperimentRunner, make_runner
+from repro.experiments.runner import ExperimentSettings, ExperimentRunner
 from repro.experiments.backends import (
     BackendPrefix,
     BatchBackend,
@@ -45,8 +45,6 @@ from repro.experiments.remote import (
     SweepWorker,
 )
 from repro.experiments._sweep import SweepResult, sweep
-from repro.experiments.parallel import ParallelExperimentRunner
-from repro.experiments.batched import BatchExperimentRunner
 from repro.experiments import (
     fig1_static_tradeoff,
     fig6_voltage_trace,
@@ -105,9 +103,5 @@ __all__ = [
     # public sweep surface
     "sweep",
     "SweepResult",
-    # deprecated shims
-    "ParallelExperimentRunner",
-    "BatchExperimentRunner",
-    "make_runner",
     "EXPERIMENTS",
 ]

@@ -10,9 +10,8 @@ Examples::
 Grid execution is selected with ``--backend`` (``serial``, ``pool``,
 ``batch``, ``pool+batch``, plus anything registered via
 :func:`repro.experiments.backends.register_backend`).  ``--workers`` sets
-the pool width for the pool-style backends; on its own it is a deprecated
-way of selecting ``--backend pool`` (and ``--batch`` of ``--backend
-batch``; both together compose to ``pool+batch``).  ``--cache-dir DIR``
+the pool width for the pool-style backends and selects nothing on its
+own: without ``--backend`` a sweep runs serially.  ``--cache-dir DIR``
 memoizes sweep results in a content-addressed store under ``DIR``
 (equivalently, pick a ``cached:<inner>`` backend directly); ``--no-cache``
 disables the store even for an explicitly cached backend name.
@@ -35,7 +34,6 @@ import argparse
 import logging
 import sys
 import time
-import warnings
 from typing import List, Optional
 
 from repro.experiments import EXPERIMENTS
@@ -72,8 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "execution backend for grid sweeps: serial simulation, a process "
             "pool, vectorized lockstep batching, or pool+batch (a lockstep "
-            "batch inside each worker, stacking both speedups); default is "
-            "resolved from --workers/--batch, else serial"
+            "batch inside each worker, stacking both speedups); default "
+            "serial"
         ),
     )
     parser.add_argument(
@@ -82,16 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "worker count for the pool-style backends, honored as given "
-            "(unset: the host's core count); without --backend, a value "
-            "above 1 selects --backend pool (deprecated spelling)"
-        ),
-    )
-    parser.add_argument(
-        "--batch",
-        action="store_true",
-        help=(
-            "deprecated spelling of --backend batch (or, combined with "
-            "--workers N, of --backend pool+batch)"
+            "(unset: the host's core count); it does not select a backend"
         ),
     )
     parser.add_argument(
@@ -188,7 +177,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         quick=args.quick,
         seed=args.seed,
         workers=args.workers,
-        batch=args.batch,
         backend=args.backend,
         fast_forward=not args.no_fast_forward,
         cache_dir=args.cache_dir,
@@ -196,22 +184,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         remote_workers=args.remote_workers,
         remote_listen=args.remote_listen,
     )
-    pooled = args.workers is not None and args.workers > 1
-    if args.backend is None and (args.batch or pooled):
-        # Python hides DeprecationWarning outside __main__ by default, which
-        # would mute this exactly where it should educate (the installed
-        # console script); surface this one warning without touching the
-        # rest of the filter chain.
-        warnings.filterwarnings(
-            "default", category=DeprecationWarning, message="selecting execution via"
-        )
-        warnings.warn(
-            f"selecting execution via --batch/--workers is deprecated; use "
-            f"--backend {settings.backend_name}"
-            + (" --workers N" if pooled else ""),
-            DeprecationWarning,
-            stacklevel=2,
-        )
 
     if args.experiment == "list":
         for name in sorted(EXPERIMENTS):

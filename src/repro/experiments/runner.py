@@ -17,7 +17,6 @@ Two fidelity settings exist:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Union
 
@@ -67,14 +66,11 @@ class ExperimentSettings:
     """Fidelity and methodology knobs shared by every experiment.
 
     ``backend`` names the execution backend grid sweeps run through (see
-    :mod:`repro.experiments.backends`); ``None`` resolves from the legacy
-    knobs via :attr:`backend_name`.  ``workers`` is the pool width for the
-    pool-style backends — ``None`` (unset) lets them default to the host's
-    core count, while an explicit value (including 1) is honored as given —
-    and ``batch`` is the legacy switch for the vectorized lockstep engine;
-    the two *compose* — ``workers`` above 1 plus ``batch`` selects the
-    ``pool+batch`` backend, which runs a lockstep batch inside each worker
-    process.  ``fast_forward`` controls the scalar engine's off-phase fast
+    :mod:`repro.experiments.backends`); ``None`` means ``serial``.
+    ``workers`` is the pool width for the pool-style backends — ``None``
+    (unset) lets them default to the host's core count, while an explicit
+    value (including 1) is honored as given — and never selects a backend
+    by itself.  ``fast_forward`` controls the scalar engine's off-phase fast
     path and exists so equivalence tests and ablations can force pure
     step-by-step execution.
 
@@ -103,7 +99,6 @@ class ExperimentSettings:
     quick_dt_off: float = 0.1
     max_drain_time: float = 600.0
     workers: Optional[int] = None
-    batch: bool = False
     fast_forward: bool = True
     backend: Optional[str] = None
     cache_dir: Optional[str] = None
@@ -115,24 +110,11 @@ class ExperimentSettings:
     def backend_name(self) -> str:
         """The registry name execution resolves to.
 
-        An explicit :attr:`backend` wins; otherwise the legacy ``workers``
-        / ``batch`` knobs map onto the equivalent backend, composing to
-        ``pool+batch`` when both are set.  A configured :attr:`cache_dir`
-        then wraps the choice in its memoizing ``cached:`` variant, and
-        ``use_cache=False`` strips that prefix instead.
+        :attr:`backend`, or ``serial`` when unset.  A configured
+        :attr:`cache_dir` then wraps the choice in its memoizing ``cached:``
+        variant, and ``use_cache=False`` strips that prefix instead.
         """
-        if self.backend:
-            base = self.backend
-        else:
-            pooled = (self.workers or 0) > 1
-            if self.batch and pooled:
-                base = "pool+batch"
-            elif self.batch:
-                base = "batch"
-            elif pooled:
-                base = "pool"
-            else:
-                base = "serial"
+        base = self.backend or "serial"
         # "cached:" is the store wrapper's registry prefix; runner.py sits
         # below backends.py in the import graph, so the literal lives here.
         if not self.use_cache:
@@ -274,23 +256,3 @@ class ExperimentRunner:
         specs = self.grid_specs(workloads, trace_names)
         return self.resolved_backend().run_specs(specs, progress=progress)
 
-
-def make_runner(
-    settings: ExperimentSettings,
-    buffer_factory: Callable[[], List[EnergyBuffer]] = standard_buffers,
-) -> ExperimentRunner:
-    """Deprecated: construct :class:`ExperimentRunner` directly.
-
-    Kept as a shim so CHANGES-era scripts keep working: the returned runner
-    resolves its backend from the settings (``--backend`` wins, else the
-    legacy ``--workers`` / ``--batch`` knobs map onto the equivalent
-    backend, composing to ``pool+batch`` when both are set).
-    """
-    warnings.warn(
-        "make_runner() is deprecated; construct ExperimentRunner(settings, ...) "
-        "or call repro.experiments.sweep(...) — execution is selected by "
-        "--backend / ExperimentSettings.backend",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return ExperimentRunner(settings, buffer_factory=buffer_factory)

@@ -93,7 +93,6 @@ DEFAULT_CACHE_DIR = ".sweep-cache"
 EXECUTION_ONLY_FIELDS = frozenset(
     {
         "backend",
-        "batch",
         "cache_dir",
         "use_cache",
         "workers",

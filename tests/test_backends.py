@@ -303,6 +303,6 @@ class TestSweepApi:
         run = sweep(
             workloads=("SC",),
             trace_names=("RF Cart",),
-            settings=ExperimentSettings(quick=True, batch=True),
+            settings=ExperimentSettings(quick=True, backend="batch"),
         )
         assert run.backend == "batch"

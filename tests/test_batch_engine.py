@@ -5,8 +5,8 @@ scalar engine's results exactly (``tests/oracle.py``), against both
 step-by-step execution and the scalar engine's default fast paths.  These
 tests pin that contract on the full quick-mode grid for every batched
 buffer (the statics and Dewdrop), exercise lane divergence and retirement,
-the scalar tail hand-off, the per-lane fallback for unbatchable buffers,
-and the runner/CLI wiring of the third execution mode.
+the scalar tail hand-off, the step limit, and the per-lane fallback for
+unbatchable buffers.
 """
 
 import numpy as np
@@ -26,8 +26,7 @@ from repro.capacitors.leakage import (
     stack_proportional_leakage,
 )
 from repro.exceptions import SimulationError
-from repro.experiments.backends import BatchBackend, PoolBatchBackend
-from repro.experiments.cli import build_parser
+from repro.experiments.backends import BatchBackend
 from repro.experiments.runner import (
     ExperimentRunner,
     ExperimentSettings,
@@ -700,24 +699,6 @@ class TestReactBatchEquivalence:
                     assert got_pole.actuation_count == ref_pole.actuation_count
                     assert got_pole.energy_spent == ref_pole.energy_spent
 
-    def test_hint_expiry_clustering_is_bit_neutral(self):
-        """Shared-expiry clustering only trims replay budgets (invariant 1
-        of the segment plan), so clustered and unclustered batched runs
-        must be bit-identical — the clustering buys fewer, wider lockstep
-        groups, never a different trajectory."""
-        trace = QUICK.trace("RF Cart")
-        clustered = BatchSimulator(
-            self.systems(trace), scalar_tail_lanes=0, **simulator_kwargs()
-        ).run()
-        unclustered = BatchSimulator(
-            self.systems(trace),
-            scalar_tail_lanes=0,
-            cluster_hint_expiries=False,
-            **simulator_kwargs(),
-        ).run()
-        for ref, got in zip(unclustered, clustered):
-            assert_results_equivalent(ref, got)
-
     def test_scalar_tail_handoff_changes_nothing(self):
         trace = QUICK.trace("RF Cart")
         pure = BatchSimulator(
@@ -782,6 +763,26 @@ class TestBatchSimulatorValidation:
             BatchSimulator([system], dt_on=0.1, dt_off=0.05)
         with pytest.raises(SimulationError):
             BatchSimulator([system], max_drain_time=-1.0)
+
+    @pytest.mark.parametrize(
+        "scalar_tail_lanes", [0, 2], ids=["lockstep", "scalar-tail"]
+    )
+    def test_max_steps_guard(self, scalar_tail_lanes):
+        """The step limit holds in the lockstep loop and, for a batch narrow
+        enough to hand off, in the scalar tail."""
+        trace = QUICK.trace("RF Cart")
+        systems = [
+            build_system(trace, StaticBuffer(millifarads(10.0)), workload, "RF Cart")
+            for workload in ("DE", "SC")
+        ]
+        simulator = BatchSimulator(
+            systems,
+            scalar_tail_lanes=scalar_tail_lanes,
+            max_steps=10,
+            **simulator_kwargs(),
+        )
+        with pytest.raises(SimulationError, match="exceeded"):
+            simulator.run()
 
     def test_shared_trace_accepted_by_value(self):
         """Equal traces from different objects batch together."""
@@ -888,30 +889,6 @@ class TestFullGridEquivalence:
         ).run_grid(workloads=("DE",), trace_names=("RF Cart",))
         for ref, got in zip(serial, batched):
             assert_results_equivalent(ref, got)
-
-
-class TestBatchedExecutionWiring:
-    def test_settings_resolve_batch_backend(self):
-        settings = ExperimentSettings(quick=True, batch=True)
-        assert settings.backend_name == "batch"
-        backend = ExperimentRunner(settings).resolved_backend()
-        assert isinstance(backend, BatchBackend)
-
-    def test_batch_and_workers_compose_to_pool_batch(self):
-        """The old mutual-exclusion error is gone: the flags compose."""
-        settings = ExperimentSettings(quick=True, batch=True, workers=4)
-        assert settings.backend_name == "pool+batch"
-        backend = ExperimentRunner(settings).resolved_backend()
-        assert isinstance(backend, PoolBatchBackend)
-        assert backend.workers == 4
-
-    def test_cli_accepts_batch_flag(self):
-        args = build_parser().parse_args(["table2", "--quick", "--batch"])
-        assert args.batch and args.quick
-
-    def test_cli_accepts_batch_with_workers(self):
-        args = build_parser().parse_args(["table2", "--batch", "--workers", "4"])
-        assert args.batch and args.workers == 4
 
 
 class TestMidFlightScalarResume:

@@ -2,14 +2,13 @@
 
 The heavier table/figure sweeps are exercised at benchmark time; here the
 cheap experiments run end-to-end in quick mode, the grid runner and the
-process-pool backend are checked on a reduced subset, and the deprecation
-shims (``make_runner``, the legacy runner subclasses, ``--workers`` /
-``--batch``) are pinned to the backends they resolve to.  The backend
+process-pool backend are checked on a reduced subset.  The backend
 registry and the composed ``pool+batch`` backend have their own module
 (``tests/test_backends.py``).
 """
 
 import pickle
+import warnings
 
 import pytest
 
@@ -18,21 +17,16 @@ from repro.buffers.static import StaticBuffer
 from repro.exceptions import ConfigurationError
 from repro.experiments import EXPERIMENTS
 from repro.experiments.backends import (
-    BatchBackend,
     PoolBatchBackend,
     ProcessPoolBackend,
     RunSpec,
-    SerialBackend,
     execute_run_spec,
 )
-from repro.experiments.batched import BatchExperimentRunner
 from repro.experiments.cli import build_parser, main
-from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.runner import (
     BUFFER_ORDER,
     ExperimentRunner,
     ExperimentSettings,
-    make_runner,
     make_workload,
     standard_buffers,
 )
@@ -86,11 +80,10 @@ class TestSettings:
         assert list(traces) == ["RF Cart", "RF Mobile"]
 
     def test_backend_name_resolution(self):
-        """Legacy workers/batch knobs map onto the equivalent backend."""
+        """Only ``backend`` selects execution; ``workers`` is the pool width."""
         assert ExperimentSettings().backend_name == "serial"
-        assert ExperimentSettings(workers=4).backend_name == "pool"
-        assert ExperimentSettings(batch=True).backend_name == "batch"
-        assert ExperimentSettings(batch=True, workers=4).backend_name == "pool+batch"
+        assert ExperimentSettings(workers=4).backend_name == "serial"
+        assert ExperimentSettings(backend="pool", workers=4).backend_name == "pool"
         assert ExperimentSettings(backend="serial", workers=4).backend_name == "serial"
 
 
@@ -276,55 +269,6 @@ class TestProcessPoolBackend:
             assert pooled_result.latency == serial_result.latency
 
 
-class TestDeprecationShims:
-    """`make_runner`, the legacy runner subclasses, and the flags they map to."""
-
-    def test_make_runner_warns_and_maps_workers_to_pool(self):
-        with pytest.warns(DeprecationWarning, match="make_runner"):
-            runner = make_runner(ExperimentSettings(quick=True, workers=4))
-        assert type(runner) is ExperimentRunner
-        backend = runner.resolved_backend()
-        assert isinstance(backend, ProcessPoolBackend)
-        assert backend.workers == 4
-
-    def test_make_runner_maps_default_to_serial(self):
-        with pytest.warns(DeprecationWarning):
-            runner = make_runner(ExperimentSettings(quick=True))
-        assert isinstance(runner.resolved_backend(), SerialBackend)
-
-    def test_make_runner_maps_batch_to_batch_backend(self):
-        with pytest.warns(DeprecationWarning):
-            runner = make_runner(ExperimentSettings(quick=True, batch=True))
-        assert isinstance(runner.resolved_backend(), BatchBackend)
-
-    def test_make_runner_composes_batch_and_workers(self):
-        """The old mutual-exclusion error is gone: the two flags compose."""
-        with pytest.warns(DeprecationWarning):
-            runner = make_runner(ExperimentSettings(quick=True, batch=True, workers=4))
-        backend = runner.resolved_backend()
-        assert isinstance(backend, PoolBatchBackend)
-        assert backend.workers == 4
-
-    def test_parallel_runner_shim_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="ParallelExperimentRunner"):
-            runner = ParallelExperimentRunner(ExperimentSettings(quick=True), workers=2)
-        assert isinstance(runner.backend, ProcessPoolBackend)
-        assert runner.backend.workers == 2
-        results = runner.run_grid(workloads=("DE",), trace_names=("RF Cart",))
-        assert len(results) == len(BUFFER_ORDER)
-
-    def test_parallel_runner_shim_rejects_invalid_workers(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                ParallelExperimentRunner(ExperimentSettings(quick=True), workers=0)
-
-    def test_batch_runner_shim_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="BatchExperimentRunner"):
-            runner = BatchExperimentRunner(ExperimentSettings(quick=True), min_lanes=9)
-        assert isinstance(runner.backend, BatchBackend)
-        assert runner.backend.min_lanes == 9
-
-
 class TestCheapExperiments:
     def test_registry_is_complete(self):
         expected = {
@@ -380,17 +324,13 @@ class TestCli:
         captured = capsys.readouterr()
         assert "pool+batch" in captured.err and "serial" in captured.err
 
-    def test_batch_and_workers_compose_instead_of_erroring(self):
-        args = build_parser().parse_args(["table2", "--batch", "--workers", "4"])
-        assert args.batch and args.workers == 4
-        settings = ExperimentSettings(batch=args.batch, workers=args.workers)
-        assert settings.backend_name == "pool+batch"
-
-    def test_legacy_flags_warn_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="--backend batch"):
-            main(["list", "--batch"])
-        with pytest.warns(DeprecationWarning, match="--backend pool"):
-            main(["list", "--workers", "2"])
+    def test_legacy_flags_are_gone(self):
+        """`--batch` is rejected; a bare `--workers` runs without a warning."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["table2", "--batch"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["list", "--workers", "2"]) == 0
 
     def test_parser_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):

@@ -126,7 +126,6 @@ class TestFingerprint:
             quick=True,
             seed=3,
             workers=8,
-            batch=True,
             backend="pool+batch",
             cache_dir="/somewhere",
             use_cache=False,
@@ -310,7 +309,7 @@ class TestRegistryIntegration:
         cache_dir = str(tmp_path)
         assert ExperimentSettings(cache_dir=cache_dir).backend_name == "cached:serial"
         assert (
-            ExperimentSettings(cache_dir=cache_dir, batch=True).backend_name
+            ExperimentSettings(cache_dir=cache_dir, backend="batch").backend_name
             == "cached:batch"
         )
         assert (
@@ -377,7 +376,7 @@ class TestCachedBackendEquivalence:
         excludes execution knobs, so the store is one cache per grid, not
         one per backend."""
         cold_settings = ExperimentSettings(
-            quick=True, cache_dir=str(tmp_path), workers=2, batch=True
+            quick=True, cache_dir=str(tmp_path), backend="pool+batch", workers=2
         )
         cold = sweep(
             workloads=("DE",), trace_names=("RF Cart",), settings=cold_settings
