@@ -6,9 +6,10 @@ infrastructure so the buffer set, traces, and workload parameters are
 identical across tables, exactly as in the paper's methodology, and all
 grid execution flows through the pluggable backend API
 (:mod:`repro.experiments.backends`): describe the grid once, pick
-``--backend serial|pool|batch|pool+batch`` (or register your own) for the
-throughput you need.  :func:`repro.experiments.sweep` is the public
-one-call surface over both.
+``--backend serial|pool|batch|pool+batch`` (or register your own), wrapped
+as ``[cached:][remote:]<backend>`` when you want the result store or the
+worker fleet.  :func:`repro.experiments.sweep` is the public one-call
+surface over both.
 
 Run everything from the command line::
 
@@ -19,7 +20,6 @@ Run everything from the command line::
 
 from repro.experiments.runner import ExperimentSettings, ExperimentRunner
 from repro.experiments.backends import (
-    BackendPrefix,
     BatchBackend,
     ExecutionBackend,
     PoolBatchBackend,
@@ -29,7 +29,6 @@ from repro.experiments.backends import (
     available_backends,
     execute_run_spec,
     register_backend,
-    register_backend_prefix,
     resolve_backend,
 )
 from repro.experiments.store import (
@@ -86,8 +85,6 @@ __all__ = [
     "RunSpec",
     "execute_run_spec",
     "register_backend",
-    "register_backend_prefix",
-    "BackendPrefix",
     "resolve_backend",
     "available_backends",
     # result store

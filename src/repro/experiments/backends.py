@@ -18,24 +18,23 @@ matter how execution is scheduled.  Four backends ship in-tree:
     lockstep kernel (static lanes together, each Morphy topology
     together); the rest fall back to the scalar engine, lane by lane.
 ``pool+batch``
-    Composes both: each (trace, kernel) lane group is partitioned into
-    shards, each worker process runs a :class:`BatchSimulator` over its
-    shard, and unbatchable cells ride the same pool as scalar jobs — the
-    process-pool speedup multiplied by the lockstep speedup.
+    Composes both: :func:`plan_shards` cuts each wide (trace, kernel) lane
+    group into contiguous lane shards and every other cell into a one-cell
+    shard, and each worker process runs its shard through the batch
+    backend — the process-pool speedup multiplied by the lockstep speedup.
 
 Backends are looked up by name in a string-keyed registry
 (:func:`register_backend` / :func:`resolve_backend`), so a new execution
 strategy plugs in without touching the runner: register a factory under a
-new name and ``--backend <name>`` reaches it.  On top of the plain names
-sits a *composable prefix* mechanism (:func:`register_backend_prefix`):
-a prefix like ``cached:`` or ``remote:`` declares a wrapper that resolves
-``<prefix><inner>`` names by delegating to the inner backend — the
-memoizing :class:`~repro.experiments.store.CachedBackend` for ``cached:``
-and the coordinator/worker transport
-:class:`~repro.experiments.remote.RemoteBackend` for ``remote:`` — and
-declares which other prefixes it may wrap, so ``cached:remote:serial``
-resolves (a store in front of the remote transport) while
-``remote:remote:serial`` is rejected with the registry listing.
+new name and ``--backend <name>`` reaches it.  Every plain registered name
+``X`` also composes under the fixed grammar ``[cached:][remote:]X``:
+``cached:`` puts the memoizing
+:class:`~repro.experiments.store.CachedBackend` in front of its inner
+backend, ``remote:`` dispatches through the coordinator/worker transport
+:class:`~repro.experiments.remote.RemoteBackend`, and
+``cached:remote:serial`` checks the store before any worker is spawned.
+Any other nesting (``remote:remote:serial``, ``cached:cached:serial``) is
+rejected with the list of valid names.
 
 Grouping metadata travels on the specs themselves: ``RunSpec.trace_name``
 (together with the spec's settings, which fix the trace's fidelity) is the
@@ -43,8 +42,10 @@ lane-grouping key — every spec mapping to the same key replays the same
 power trace and may share one lockstep batch, subject to the buffers'
 kernel compatibility
 (:meth:`~repro.buffers.base.EnergyBuffer.batch_key`).  :func:`trace_groups`
-derives the trace grouping and :func:`partition_batchable` refines it into
-the per-kernel lane groups any batch-style backend needs.
+derives the trace grouping, :func:`partition_batchable` refines it into
+the per-kernel lane groups any batch-style backend needs, and
+:func:`plan_shards` cuts those into the shards that both sharding backends,
+``pool+batch`` and ``remote:``, execute.
 """
 
 from __future__ import annotations
@@ -93,6 +94,10 @@ CACHED_PREFIX = "cached:"
 
 #: Name prefix selecting the coordinator/worker transport: ``remote:<inner>``.
 REMOTE_PREFIX = "remote:"
+
+#: Narrowest lane group worth a lockstep batch: one more than the batch
+#: simulator's scalar tail, which would take a narrower batch straight back.
+MIN_LANES = DEFAULT_SCALAR_TAIL_LANES + 1
 
 
 @dataclass(frozen=True)
@@ -283,6 +288,34 @@ def _split_evenly(items: List[int], chunks: int) -> List[List[int]]:
     return out
 
 
+def plan_shards(
+    specs: Sequence[RunSpec], workers: int, min_lanes: int = MIN_LANES
+) -> List[Tuple[int, ...]]:
+    """Spec indices cut into shards along :func:`partition_batchable` lines.
+
+    The one shard plan of both sharding backends: ``pool+batch`` runs it
+    over a process pool and ``remote:`` over its worker fleet.  A lane
+    group of at least ``min_lanes`` lanes splits into contiguous chunks so
+    the shard count reaches ``workers``, never into a chunk narrower than
+    ``min_lanes`` (it would just run scalar inside a batch).  Every other
+    cell, unbatchable or in a narrower group, is a shard of its own: these
+    are often the heaviest cells, and as separate jobs they spread over
+    the workers.  Shards come back in spec order, and so do the indices
+    inside each shard.
+    """
+    lane_groups, singles = partition_batchable(specs)
+    wide = [group for group in lane_groups if len(group) >= min_lanes]
+    shards = [(index,) for index in singles]
+    shards.extend(
+        (index,) for group in lane_groups if len(group) < min_lanes for index in group
+    )
+    chunks_per_group = max(1, workers // max(1, len(wide)))
+    for group in wide:
+        chunks = min(chunks_per_group, len(group) // min_lanes)
+        shards.extend(tuple(piece) for piece in _split_evenly(group, chunks))
+    return sorted(shards)
+
+
 @dataclass
 class SerialBackend:
     """One scalar simulation at a time, in-process, in spec order."""
@@ -364,7 +397,7 @@ class BatchBackend:
     meaningful earlier moment per cell).
     """
 
-    min_lanes: int = DEFAULT_SCALAR_TAIL_LANES + 1
+    min_lanes: int = MIN_LANES
     name = "batch"
 
     def run_specs(
@@ -415,11 +448,12 @@ class BatchBackend:
         return results
 
 
-def execute_spec_shard(
-    specs: Sequence[RunSpec], min_lanes: int
-) -> List[SimulationResult]:
-    """Run one lane shard inside a worker (the pool+batch work function)."""
-    return BatchBackend(min_lanes=min_lanes).run_specs(specs)
+def execute_spec_shard(specs: Sequence[RunSpec]) -> List[SimulationResult]:
+    """Run one shard inside a worker (the pool+batch work function).
+
+    A lane shard runs as one lockstep batch, a one-cell shard scalar.
+    """
+    return BatchBackend().run_specs(specs)
 
 
 @dataclass
@@ -427,32 +461,29 @@ class PoolBatchBackend:
     """Process-pool fan-out with a lockstep batch inside each worker.
 
     The composition of :class:`ProcessPoolBackend` and
-    :class:`BatchBackend`: batchable specs are grouped by shared trace,
-    each group is split into contiguous shards (so every worker gets a wide
-    lane block rather than single cells), and each shard runs one
-    :class:`~repro.sim.batch.BatchSimulator` in its worker process.
-    Unbatchable specs ride the same pool as individual scalar jobs, which
-    the plain batch backend runs serially, so this backend stacks both
-    speedups and also parallelizes the scalar remainder.  They are the
-    Capybara extension, which has no lockstep kernel, and lane groups
-    narrower than ``min_lanes``, such as the paper grid's four REACT lanes
-    per trace.
+    :class:`BatchBackend`: :func:`plan_shards` cuts the grid, and each
+    shard is one pool job that runs the batch backend in its worker
+    process.  A wide lane group splits into contiguous lane shards, so
+    every worker gets a wide lane block rather than single cells.  Every
+    other cell is a one-cell shard that runs scalar, so this backend also
+    parallelizes the scalar remainder the plain batch backend runs
+    serially: the Capybara extension, which has no lockstep kernel, and
+    lane groups narrower than :data:`MIN_LANES`, such as the paper grid's
+    four REACT lanes per trace.
 
-    Shards are contiguous slices of one (trace, kernel) lane group and
-    never mix groups: every lane in a shard shares the trace, the timestep
-    pair, and the lockstep kernel family, which is exactly what the
-    segment planner assumes when it fast-forwards a shard's lanes through
-    whole-segment kernel replays.  Lane arithmetic — stepped or replayed —
-    is elementwise and bit-exact, so a lane's counters are independent of
-    which shard it lands in; sharding changes throughput, never results.
-    (Throughput *can* depend on shard membership: a kernel with
-    ``fast_forward_needs_full_batch`` only skips a segment when every lane
-    in its shard agrees on the plan, so narrower shards skip more often
-    but amortize less per step.)
+    Lane shards never mix groups: every lane in a shard shares the trace,
+    the timestep pair, and the lockstep kernel family, which is exactly
+    what the segment planner assumes when it fast-forwards a shard's lanes
+    through whole-segment kernel replays.  Lane arithmetic — stepped or
+    replayed — is elementwise and bit-exact, so a lane's counters are
+    independent of which shard it lands in; sharding changes throughput,
+    never results.  (Throughput *can* depend on shard membership: a kernel
+    with ``fast_forward_needs_full_batch`` only skips a segment when every
+    lane in its shard agrees on the plan, so narrower shards skip more
+    often but amortize less per step.)
     """
 
     workers: int = 2
-    min_lanes: int = DEFAULT_SCALAR_TAIL_LANES + 1
     name = "pool+batch"
 
     def __post_init__(self) -> None:
@@ -466,51 +497,21 @@ class PoolBatchBackend:
     ) -> List[SimulationResult]:
         specs = list(specs)
         if self.workers <= 1 or len(specs) <= 1:
-            return BatchBackend(min_lanes=self.min_lanes).run_specs(specs, progress)
-
-        lane_groups, singles = partition_batchable(specs)
-        # Groups too narrow to ever batch (below min_lanes) would just run
-        # scalar — and serially — inside one worker's shard; fanning them
-        # over the pool as independent scalar jobs parallelizes them
-        # instead (they are often the heaviest cells).
-        wide_groups: List[List[int]] = []
-        for group in lane_groups:
-            if len(group) >= self.min_lanes:
-                wide_groups.append(group)
-            else:
-                singles.extend(group)
-
-        # Split each lane group so the shard count reaches the pool
-        # width, but never below min_lanes per shard (a narrower shard
-        # would just run scalar inside the worker).
-        shards: List[List[int]] = []
-        chunks_per_group = max(1, self.workers // max(1, len(wide_groups)))
-        for group in wide_groups:
-            chunks = min(chunks_per_group, max(1, len(group) // self.min_lanes))
-            shards.extend(_split_evenly(group, chunks))
-
+            return BatchBackend().run_specs(specs, progress)
+        shards = plan_shards(specs, self.workers)
         computed: List[Optional[SimulationResult]] = [None] * len(specs)
-        job_count = len(shards) + len(singles)
-        with ProcessPoolExecutor(max_workers=min(self.workers, job_count)) as pool:
-            shard_futures = [
-                (indices, pool.submit(
-                    execute_spec_shard, [specs[i] for i in indices], self.min_lanes
-                ))
-                for indices in shards
+        with ProcessPoolExecutor(max_workers=min(self.workers, len(shards))) as pool:
+            futures = [
+                (shard, pool.submit(execute_spec_shard, [specs[i] for i in shard]))
+                for shard in shards
             ]
-            single_futures = [
-                (index, pool.submit(execute_run_spec, specs[index]))
-                for index in singles
-            ]
-            for indices, future in shard_futures:
-                for index, result in zip(indices, future.result()):
+            for shard, future in futures:
+                for index, result in zip(shard, future.result()):
                     computed[index] = result
-            for index, future in single_futures:
-                computed[index] = future.result()
 
         results: List[SimulationResult] = []
         for result in computed:
-            assert result is not None  # every spec is in a shard or singles
+            assert result is not None  # every spec is in exactly one shard
             results.append(result)
             if progress is not None:
                 progress(result)
@@ -556,116 +557,20 @@ def unregister_backend(name: str) -> None:
     _REGISTRY.pop(name, None)
 
 
-# Composable prefixes: a prefix is a wrapper convention over inner backend
-# names — ``<prefix><inner>`` resolves by delegating to ``<inner>``.  Each
-# prefix declares which *other* prefixes it may wrap, so the valid
-# compositions form a DAG (``cached:remote:serial`` resolves, while
-# ``remote:remote:serial`` and ``cached:cached:serial`` are rejected).
-
-#: A prefix resolver receives the *full* composed name and the settings.
-PrefixResolver = Callable[[str, ExperimentSettings], "ExecutionBackend"]
-
-
-@dataclass(frozen=True)
-class BackendPrefix:
-    """One composable name prefix: how ``<prefix><inner>`` names resolve.
-
-    ``nests`` lists the prefixes allowed at the head of the inner name;
-    a plain registered backend name is always an acceptable inner.
-    """
-
-    prefix: str
-    resolver: PrefixResolver
-    nests: Tuple[str, ...] = ()
-
-
-_PREFIX_REGISTRY: Dict[str, BackendPrefix] = {}
-
-
-def register_backend_prefix(
-    prefix: str,
-    resolver: Optional[PrefixResolver] = None,
-    *,
-    nests: Sequence[str] = (),
-    replace: bool = False,
-):
-    """Register a composable name prefix (usable as a decorator).
-
-    The mechanism behind ``cached:`` and ``remote:``: any backend name
-    starting with ``prefix`` (and not explicitly registered in full)
-    resolves through ``resolver``, which receives the full name and the
-    sweep settings and typically resolves the inner name recursively.
-    ``nests`` names the prefixes the wrapper composes over — an inner name
-    headed by any *other* prefix is rejected before the resolver runs.
-    """
-    if resolver is None:
-        return lambda wrapped: register_backend_prefix(
-            prefix, wrapped, nests=nests, replace=replace
-        )
-    if not prefix.endswith(":"):
-        raise ConfigurationError(
-            f"backend prefix {prefix!r} must end with ':' (e.g. 'cached:')"
-        )
-    if not replace and prefix in _PREFIX_REGISTRY:
-        raise ConfigurationError(
-            f"backend prefix {prefix!r} is already registered "
-            "(pass replace=True to override)"
-        )
-    _PREFIX_REGISTRY[prefix] = BackendPrefix(prefix, resolver, tuple(nests))
-    return resolver
-
-
-def unregister_backend_prefix(prefix: str) -> None:
-    """Remove ``prefix`` from the prefix registry (no-op if absent)."""
-    _PREFIX_REGISTRY.pop(prefix, None)
-
-
-def backend_name_prefix(name: str) -> Optional[BackendPrefix]:
-    """The registered prefix heading ``name``, if any (longest match)."""
-    best: Optional[BackendPrefix] = None
-    for prefix, spec in _PREFIX_REGISTRY.items():
-        if name.startswith(prefix) and (best is None or len(prefix) > len(best.prefix)):
-            best = spec
-    return best
-
-
-def split_backend_name(name: str) -> Tuple[Optional[BackendPrefix], str]:
-    """``name`` split into its heading prefix (or ``None``) and the rest."""
-    spec = backend_name_prefix(name)
-    if spec is None:
-        return None, name
-    return spec, name[len(spec.prefix) :]
-
-
 def available_backends() -> Tuple[str, ...]:
     """Every reachable backend name, sorted.
 
-    Alongside the explicitly registered names, every registered prefix
-    contributes its implicit composed variants: ``<prefix><inner>`` for
-    each plain backend name and for each already-listed name headed by a
-    prefix the wrapper declares it nests over — so the listing contains
-    ``cached:serial``, ``remote:serial``, *and* ``cached:remote:serial``,
-    but never an invalid composition like ``remote:remote:serial``.
+    The registered names plus, for each plain one ``X`` (headed by neither
+    ``cached:`` nor ``remote:``), its three compositions ``remote:X``,
+    ``cached:X`` and ``cached:remote:X``: the whole
+    ``[cached:][remote:]<backend>`` grammar.
     """
     names = set(_REGISTRY)
-    plain = {name for name in _REGISTRY if backend_name_prefix(name) is None}
-    # Grow to a fixpoint: the nests relation is a DAG over finitely many
-    # prefixes, so each prefix is applied at most once per composition and
-    # the closure is finite.
-    changed = True
-    while changed:
-        changed = False
-        for spec in _PREFIX_REGISTRY.values():
-            inners = set(plain)
-            for name in names:
-                heading = backend_name_prefix(name)
-                if heading is not None and heading.prefix in spec.nests:
-                    inners.add(name)
-            for inner in inners:
-                composed = spec.prefix + inner
-                if composed not in names:
-                    names.add(composed)
-                    changed = True
+    for name in _REGISTRY:
+        if not name.startswith((CACHED_PREFIX, REMOTE_PREFIX)):
+            names.add(REMOTE_PREFIX + name)
+            names.add(CACHED_PREFIX + name)
+            names.add(CACHED_PREFIX + REMOTE_PREFIX + name)
     return tuple(sorted(names))
 
 
@@ -674,40 +579,33 @@ def resolve_backend(
 ) -> ExecutionBackend:
     """Build the backend registered under ``name`` for ``settings``.
 
-    Prefixed names without an explicit registration resolve through the
-    prefix registry — ``cached:<inner>`` to a
-    :class:`~repro.experiments.store.CachedBackend` and ``remote:<inner>``
-    to a :class:`~repro.experiments.remote.RemoteBackend`, composable as
-    ``cached:remote:<inner>`` — while an explicit registration under the
-    full name always wins.
+    A registered name always wins.  Any other name must be one of the
+    compositions :func:`available_backends` lists: ``cached:<inner>``
+    resolves to a :class:`~repro.experiments.store.CachedBackend` and
+    ``remote:<inner>`` to a :class:`~repro.experiments.remote.RemoteBackend`.
     """
     if settings is None:
         settings = ExperimentSettings()
     factory = _REGISTRY.get(name)
     if factory is not None:
         return factory(settings)
-    spec, inner = split_backend_name(name)
-    if spec is not None:
-        inner_spec = backend_name_prefix(inner)
-        if not inner or (
-            inner_spec is not None and inner_spec.prefix not in spec.nests
-        ):
-            raise ConfigurationError(
-                f"invalid backend name {name!r}: expected {spec.prefix}<inner> "
-                f"where <inner> is a plain backend"
-                + (
-                    f" or one headed by {', '.join(spec.nests)}"
-                    if spec.nests
-                    else ""
-                )
-                + f", not {inner!r}; registered backends: "
-                + ", ".join(available_backends())
-            )
-        return spec.resolver(name, settings)
-    raise ConfigurationError(
-        f"unknown execution backend {name!r}; registered backends: "
-        + ", ".join(available_backends())
-    )
+    names = available_backends()
+    if name not in names:
+        raise ConfigurationError(
+            f"unknown execution backend {name!r}; names take the form "
+            "[cached:][remote:]<backend>, where cached:<inner> wraps a plain or "
+            "remote: backend and remote:<inner> a plain one; registered "
+            "backends: " + ", ".join(names)
+        )
+    if name.startswith(CACHED_PREFIX):
+        # Imported lazily: store.py imports this module at the top level.
+        from repro.experiments.store import cached_backend_from_settings
+
+        return cached_backend_from_settings(name, settings)
+    # Imported lazily: the remote subpackage imports this module.
+    from repro.experiments.remote import remote_backend_from_settings
+
+    return remote_backend_from_settings(name, settings)
 
 
 def _pool_width(settings: ExperimentSettings) -> int:
@@ -732,24 +630,3 @@ register_backend(
     lambda settings: PoolBatchBackend(workers=_pool_width(settings)),
 )
 
-
-def _resolve_cached(name: str, settings: ExperimentSettings) -> ExecutionBackend:
-    # Imported lazily: store.py imports this module at the top level.
-    from repro.experiments.store import cached_backend_from_settings
-
-    return cached_backend_from_settings(name, settings)
-
-
-def _resolve_remote(name: str, settings: ExperimentSettings) -> ExecutionBackend:
-    # Imported lazily: the remote subpackage imports this module.
-    from repro.experiments.remote import remote_backend_from_settings
-
-    return remote_backend_from_settings(name, settings)
-
-
-# The coordinator dispatches to workers that resolve the inner name
-# themselves, so ``remote:`` wraps only plain backends; the store wrapper
-# composes over the transport (``cached:remote:serial`` checks the store
-# before any worker is ever spawned).
-register_backend_prefix(REMOTE_PREFIX, _resolve_remote)
-register_backend_prefix(CACHED_PREFIX, _resolve_cached, nests=(REMOTE_PREFIX,))

@@ -12,16 +12,17 @@ Layout:
 
 * :mod:`~repro.experiments.remote.protocol` — length-prefixed pickle
   framing and the six-message vocabulary (with the trust model).
-* :mod:`~repro.experiments.remote.coordinator` — :class:`RemoteBackend`,
-  shard planning along the shared batch-partition boundaries, and the
-  fault-tolerant dispatch loop (heartbeats, per-shard timeouts, bounded
-  retry-with-requeue, graceful drain).
+* :mod:`~repro.experiments.remote.coordinator` — :class:`RemoteBackend`
+  and the fault-tolerant dispatch loop (heartbeats, per-shard timeouts,
+  bounded retry-with-requeue, graceful drain) over the shards of
+  :func:`~repro.experiments.backends.plan_shards`, the plan ``pool+batch``
+  executes too.
 * :mod:`~repro.experiments.remote.worker` — the :class:`SweepWorker`
   process loop behind ``react-repro worker``.
 * :mod:`~repro.experiments.remote.launcher` — :class:`LocalWorkerPool`,
   N localhost workers as subprocesses.
 
-The backend registry composes the transport with the result store:
+The backend name grammar composes the transport with the result store:
 ``cached:remote:serial`` checks the content-addressed store first and only
 touches the network for misses, while workers sharing the same
 ``--cache-dir`` write computed results through to the same store.
@@ -32,7 +33,6 @@ from repro.experiments.remote.coordinator import (
     DEFAULT_LOCAL_WORKERS,
     RemoteBackend,
     RemoteReport,
-    plan_shards,
     remote_backend_from_settings,
 )
 from repro.experiments.remote.launcher import LocalWorkerPool, worker_command
@@ -44,7 +44,6 @@ __all__ = [
     "RemoteBackend",
     "RemoteReport",
     "SweepWorker",
-    "plan_shards",
     "protocol",
     "remote_backend_from_settings",
     "worker_command",

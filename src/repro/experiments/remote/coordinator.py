@@ -4,14 +4,12 @@ The coordinator turns a grid of
 :class:`~repro.experiments.backends.RunSpec`\\ s into a fault-tolerant work
 queue of *shards* and serves them to whatever workers connect:
 
-1. **Shard planning** follows the same
-   :func:`~repro.experiments.backends.partition_batchable` /
-   ``group_key`` boundaries every batch-style backend uses, so a shard's
-   specs always share one trace (and, for lane groups, one lockstep
-   kernel) — a worker running ``--inner batch`` batches exactly what the
-   in-process batch backend would.  Unbatchable cells are grouped per
-   trace too, and wide groups are split so the shard count comfortably
-   exceeds the worker count.
+1. **Shard planning** is :func:`~repro.experiments.backends.plan_shards`,
+   the same plan ``pool+batch`` executes: a lane shard's specs share one
+   trace and one lockstep kernel, so a worker running ``--inner batch``
+   batches exactly what the in-process batch backend would, and every
+   other cell is a one-cell shard.  Once shards complete, still-pending
+   wide shards are re-split from the observed per-cell wall-clock.
 2. **Dispatch** hands each shard to an idle worker; workers register by
    connecting to the coordinator's TCP socket (spawned locally via
    :class:`~repro.experiments.remote.launcher.LocalWorkerPool` and/or
@@ -42,22 +40,22 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, SweepTransportError
 from repro.experiments.backends import (
+    CACHED_PREFIX,
+    MIN_LANES,
     REMOTE_PREFIX,
     ProgressCallback,
     RunSpec,
     _split_evenly,
     available_backends,
-    backend_name_prefix,
-    partition_batchable,
+    plan_shards,
 )
 from repro.experiments.remote import protocol
 from repro.experiments.remote.launcher import LocalWorkerPool
 from repro.experiments.runner import ExperimentSettings
-from repro.sim.batch import DEFAULT_SCALAR_TAIL_LANES
 from repro.sim.results import SimulationResult
 
 log = logging.getLogger("repro.remote.coordinator")
@@ -81,14 +79,10 @@ DEFAULT_SHARD_TARGET_SECONDS = 30.0
 
 @dataclass
 class _Shard:
-    """One unit of dispatch: a contiguous slice of one lane/trace group."""
+    """One unit of dispatch: one :func:`plan_shards` shard, or a piece of one."""
 
     shard_id: int
     indices: Tuple[int, ...]
-    #: Smallest piece this shard may be re-split into (``min_lanes`` for
-    #: lane-group shards — narrower would run scalar inside a ``batch``
-    #: inner — and 1 for unbatchable cells).
-    floor: int = 1
     attempts: int = 0
     done: bool = False
     last_error: Optional[str] = None
@@ -106,50 +100,6 @@ class RemoteReport:
     requeues: int = 0
     failures: int = 0
     duplicate_results: int = 0
-
-
-def plan_shards(
-    specs: Sequence[RunSpec],
-    workers: int = DEFAULT_LOCAL_WORKERS,
-    min_lanes: int = DEFAULT_SCALAR_TAIL_LANES + 1,
-) -> List[_Shard]:
-    """Shard the grid along ``partition_batchable()``/``group_key`` lines.
-
-    Lane groups (trace- and kernel-sharing specs) and per-trace groups of
-    unbatchable specs each become shards, split into contiguous chunks so
-    the shard count reaches roughly twice the worker count (finer shards
-    balance better and cost less to retry).  Lane groups are never split
-    below ``min_lanes`` — a narrower shard would run scalar inside a
-    ``batch`` inner anyway — while unbatchable groups may split down to
-    single specs (they are the heaviest cells).  Every spec lands in
-    exactly one shard, and shard-internal order is spec order.
-
-    This initial plan sizes shards from lane counts alone; once shards
-    complete, the coordinator re-splits still-pending wide shards from the
-    observed per-cell wall-clock (see ``_Coordinator._retune_pending``).
-    """
-    lane_groups, singles = partition_batchable(specs)
-    single_groups: Dict[object, List[int]] = {}
-    for index in sorted(singles):
-        single_groups.setdefault(specs[index].group_key, []).append(index)
-    groups: List[Tuple[List[int], int]] = [
-        (group, min_lanes) for group in lane_groups
-    ] + [(group, 1) for group in single_groups.values()]
-    groups.sort(key=lambda entry: entry[0][0])
-    target = max(1, 2 * max(1, workers))
-    chunks_per_group = max(1, target // max(1, len(groups)))
-    shards: List[_Shard] = []
-    for group, floor in groups:
-        chunks = min(chunks_per_group, max(1, len(group) // max(1, floor)))
-        for piece in _split_evenly(group, chunks):
-            shards.append(
-                _Shard(
-                    shard_id=len(shards),
-                    indices=tuple(piece),
-                    floor=max(1, floor),
-                )
-            )
-    return shards
 
 
 class _WorkerHandle:
@@ -214,7 +164,7 @@ class RemoteBackend:
         workers: int = DEFAULT_LOCAL_WORKERS,
         listen: Optional[Tuple[str, int]] = None,
         *,
-        min_lanes: int = DEFAULT_SCALAR_TAIL_LANES + 1,
+        min_lanes: int = MIN_LANES,
         shard_timeout: Optional[float] = DEFAULT_SHARD_TIMEOUT,
         shard_target_seconds: Optional[float] = DEFAULT_SHARD_TARGET_SECONDS,
         heartbeat_timeout: float = 20.0,
@@ -222,7 +172,7 @@ class RemoteBackend:
         worker_timeout: float = 60.0,
         verbose_workers: bool = False,
     ) -> None:
-        if backend_name_prefix(inner) is not None or not inner:
+        if not inner or inner.startswith((CACHED_PREFIX, REMOTE_PREFIX)):
             raise ConfigurationError(
                 f"remote workers execute a plain local backend; cannot use "
                 f"{inner!r} as the inner backend of {REMOTE_PREFIX}<inner>"
@@ -287,7 +237,12 @@ class _Coordinator:
     def __init__(self, backend: RemoteBackend, specs: List[RunSpec]) -> None:
         self.backend = backend
         self.specs = specs
-        self.shards = plan_shards(specs, backend.workers or 1, backend.min_lanes)
+        self.shards = [
+            _Shard(shard_id=shard_id, indices=indices)
+            for shard_id, indices in enumerate(
+                plan_shards(specs, backend.workers or 1, backend.min_lanes)
+            )
+        ]
         self.shard_by_id = {shard.shard_id: shard for shard in self.shards}
         self.pending: deque = deque(self.shards)
         self._next_shard_id = len(self.shards)
@@ -558,27 +513,29 @@ class _Coordinator:
     def _retune_pending(self) -> None:
         """Re-split never-dispatched shards toward the target wall-clock.
 
-        :func:`plan_shards` sizes shards from lane counts alone (~2 per
-        worker, whatever the per-cell cost); once completed shards reveal
-        how expensive a cell actually is, any pending shard predicted to
-        run well past ``shard_target_seconds`` is split down — never below
-        its group ``floor`` — so stragglers shrink, workers stay balanced
-        through the drain, and a requeued retry re-runs less work.  Shards
-        that already dispatched once keep their identity: splitting them
-        would reset the per-shard retry ledger.
+        :func:`plan_shards` sizes lane shards from lane counts and the
+        worker count alone, whatever the per-cell cost; once completed
+        shards reveal how expensive a cell actually is, any pending shard
+        predicted to run well past ``shard_target_seconds`` is split down —
+        never below the backend's ``min_lanes``, so a one-cell shard never
+        splits — so stragglers shrink, workers stay balanced through the
+        drain, and a requeued retry re-runs less work.  Shards that already
+        dispatched once keep their identity: splitting them would reset the
+        per-shard retry ledger.
         """
         per_cell = self._per_cell_seconds
         target = self.backend.shard_target_seconds
         if per_cell is None or target is None or per_cell <= 0.0:
             return
         limit = max(1, int(target / per_cell))
+        min_lanes = self.backend.min_lanes
         retuned: deque = deque()
         for shard in self.pending:
             chunks = 1
-            if shard.attempts == 0 and len(shard.indices) > max(limit, shard.floor):
+            if shard.attempts == 0 and len(shard.indices) > max(limit, min_lanes):
                 chunks = min(
                     -(-len(shard.indices) // limit),  # ceil → pieces near target
-                    len(shard.indices) // shard.floor,
+                    len(shard.indices) // min_lanes,
                 )
             if chunks <= 1:
                 retuned.append(shard)
@@ -588,9 +545,7 @@ class _Coordinator:
             pieces = _split_evenly(list(shard.indices), chunks)
             for piece in pieces:
                 replacement = _Shard(
-                    shard_id=self._next_shard_id,
-                    indices=tuple(piece),
-                    floor=shard.floor,
+                    shard_id=self._next_shard_id, indices=tuple(piece)
                 )
                 self._next_shard_id += 1
                 self.shards.append(replacement)
@@ -719,7 +674,8 @@ def remote_backend_from_settings(
 ) -> RemoteBackend:
     """Resolve ``remote:<inner>`` into a coordinator for ``settings``.
 
-    The registry's prefix resolver: ``settings.remote_workers`` is the
+    What :func:`~repro.experiments.backends.resolve_backend` calls for a
+    ``remote:`` name: ``settings.remote_workers`` is the
     local worker count (``None`` defaults to
     :data:`DEFAULT_LOCAL_WORKERS` without a listen address, else 0 — a
     configured listen address implies externally started workers), and

@@ -395,7 +395,8 @@ class CachedBackend:
 
     Preserves the backend contract exactly — one result per spec, in spec
     order, bit-identical to the inner backend (a hit is just an earlier
-    run's result) — and exposes the last run's hit/miss delta as
+    run's result, except that it reports a ``wall_clock_seconds`` of 0.0:
+    it cost no simulation) — and exposes the last run's hit/miss delta as
     :attr:`last_run_stats`, which :func:`repro.experiments.sweep` surfaces
     as ``SweepResult.cache_stats``.  ``progress`` fires in spec order after
     the grid completes (hits and misses finish interleaved, so there is no
@@ -436,7 +437,7 @@ class CachedBackend:
             if hit is None:
                 miss_indices.append(index)
             else:
-                results[index] = hit
+                results[index] = dataclasses.replace(hit, wall_clock_seconds=0.0)
         if miss_indices:
             computed = self.inner.run_specs([specs[i] for i in miss_indices])
             for index, result in zip(miss_indices, computed):
@@ -459,8 +460,8 @@ def cached_backend_from_settings(
 ) -> CachedBackend:
     """Resolve ``cached:<inner>`` into a wrapped backend for ``settings``.
 
-    The registry's fallback for ``cached:`` names without an explicit
-    registration; the store root comes from ``settings.cache_dir``
+    What :func:`~repro.experiments.backends.resolve_backend` calls for a
+    ``cached:`` name; the store root comes from ``settings.cache_dir``
     (default :data:`DEFAULT_CACHE_DIR`).
     """
     from repro.experiments.backends import resolve_backend

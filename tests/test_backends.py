@@ -7,17 +7,17 @@ Three contracts are pinned here:
   and runs a grid without any runner changes (the seam the future
   remote/sharded dispatch backend plugs into).
 * **`pool+batch` equivalence** — the composed backend runs the *full*
-  quick-mode grid (every workload, trace, and buffer: static-kernel and
-  Morphy-kernel lanes shard into lockstep batches, the unbatchable REACT
-  cells fan out as scalar pool jobs, and Morphy groups narrower than
-  ``min_lanes`` run scalar too) and
-  returns the serial backend's results in serial order, exactly
+  quick-mode grid (every workload, trace, and buffer: static-kernel lanes
+  shard into lockstep batches, and every cell of a group narrower than
+  ``min_lanes`` — the grid's four Morphy and four REACT lanes per trace —
+  is a one-cell shard that runs scalar) and returns the serial backend's results in serial order, exactly
   (``tests/oracle.py``: counters, times, metrics and energy ledgers all
   ``==``).
 * **Ordered collection** — pool-style backends must hide out-of-order
   worker completion.
 """
 
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -34,6 +34,8 @@ from repro.experiments.backends import (
     SerialBackend,
     _split_evenly,
     available_backends,
+    execute_spec_shard,
+    plan_shards,
     register_backend,
     resolve_backend,
     trace_groups,
@@ -183,10 +185,9 @@ class TestPoolBatchBackend:
     def test_full_quick_grid_matches_serial(self):
         """The acceptance gate: pool+batch == serial on the full quick grid.
 
-        Every workload × trace × buffer cell, including the unbatchable
-        REACT lanes the backend fans out as scalar pool jobs (the single
-        Morphy lane per trace group stays below ``min_lanes`` and runs
-        scalar as well).
+        Every workload × trace × buffer cell: the twelve static lanes per
+        trace run as lane shards, and the four Morphy and four REACT lanes
+        per trace, below ``min_lanes``, as one-cell shards.
         """
         serial = sweep(settings=QUICK, backend="serial")
         composed = sweep(settings=QUICK, backend=PoolBatchBackend(workers=4))
@@ -245,6 +246,46 @@ class TestPoolBatchBackend:
             .grid_specs(workloads=("SC",), trace_names=("RF Cart",))
         )
         assert len(results) == 12
+
+    def test_one_pool_job_per_planned_shard(self, monkeypatch):
+        """pool+batch submits exactly the shards of ``plan_shards``, each as
+        one ``execute_spec_shard`` job, in spec order."""
+        import repro.experiments.backends as backends_module
+
+        submitted = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, function, *args):
+                submitted.append((function, args))
+                future = Future()
+                future.set_result(function(*args))
+                return future
+
+        monkeypatch.setattr(backends_module, "ProcessPoolExecutor", RecordingPool)
+        specs = ExperimentRunner(
+            ExperimentSettings(quick=True, quick_trace_cap=120.0)
+        ).grid_specs(workloads=("DE", "SC", "RT", "PF"), trace_names=("RF Cart",))
+        results = PoolBatchBackend(workers=2).run_specs(specs)
+        shards = plan_shards(specs, 2)
+        assert [function for function, _ in submitted] == [execute_spec_shard] * len(
+            shards
+        )
+        assert [args for _, args in submitted] == [
+            ([specs[i] for i in shard],) for shard in shards
+        ]
+        assert [len(shard) for shard in shards].count(1) == 8  # Morphy, REACT
+        serial = SerialBackend().run_specs(specs)
+        for reference, candidate in zip(serial, results):
+            assert_results_equivalent(reference, candidate)
 
     def test_ordered_collection_under_out_of_order_completion(self):
         """The slow Morphy single must not displace the fast static lane."""

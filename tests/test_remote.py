@@ -5,9 +5,11 @@ Four contracts are pinned here:
 * **Wire protocol** — length-prefixed pickle frames round-trip every
   message, a clean EOF between frames reads as ``None``, and truncated or
   misframed streams raise instead of hanging or mis-parsing.
-* **Shard planning** — shards follow the shared batch-partition
-  boundaries: every spec lands in exactly one shard, lane groups never
-  split below ``min_lanes``, and shard-internal order is spec order.
+* **Shard planning** — the coordinator executes
+  :func:`~repro.experiments.backends.plan_shards`, the plan ``pool+batch``
+  runs too: every spec lands in exactly one shard, lane shards never go
+  below ``min_lanes``, every other cell is a one-cell shard, and shards
+  come back in spec order.
 * **Bit-equality** — the full quick grid through ``remote:serial`` with
   local worker processes returns the serial backend's results in serial
   order, exactly (``tests/oracle.py``) — including with a worker SIGKILLed
@@ -41,17 +43,13 @@ from repro.experiments import sweep
 from repro.experiments.backends import (
     SerialBackend,
     available_backends,
-    backend_name_prefix,
-    register_backend_prefix,
+    plan_shards,
     resolve_backend,
-    split_backend_name,
-    unregister_backend_prefix,
 )
 from repro.experiments.remote import (
     LocalWorkerPool,
     RemoteBackend,
     SweepWorker,
-    plan_shards,
     protocol,
     worker_command,
 )
@@ -74,7 +72,7 @@ def static_ladder_buffers():
 
 
 def capybara_pair_buffers():
-    """Two unbatchable lanes (in-process tests only): singles shards, floor 1."""
+    """Two unbatchable lanes (in-process tests only): one-cell shards."""
     return [
         CapybaraBuffer(name="Capybara A"),
         CapybaraBuffer(task_capacitance=millifarads(20.0), name="Capybara B"),
@@ -174,11 +172,12 @@ class TestShardPlanning:
     def test_every_spec_in_exactly_one_shard_in_order(self):
         specs = ExperimentRunner(QUICK).grid_specs()
         shards = plan_shards(specs, workers=3)
-        seen = [index for shard in shards for index in shard.indices]
+        seen = [index for shard in shards for index in shard]
         assert sorted(seen) == list(range(len(specs)))
+        assert shards == sorted(shards)  # shards in spec order
         for shard in shards:
-            assert list(shard.indices) == sorted(shard.indices)
-            group_keys = {specs[i].group_key for i in shard.indices}
+            assert list(shard) == sorted(shard)
+            group_keys = {specs[i].group_key for i in shard}
             assert len(group_keys) == 1  # one trace (and kernel) per shard
 
     def test_wide_lane_group_splits_but_not_below_min_lanes(self):
@@ -187,10 +186,23 @@ class TestShardPlanning:
         ).grid_specs(workloads=("SC",), trace_names=("RF Cart",))
         shards = plan_shards(specs, workers=3, min_lanes=3)
         assert len(shards) == 2  # six lanes split in two, floor of three
-        assert all(len(shard.indices) >= 3 for shard in shards)
+        assert all(len(shard) >= 3 for shard in shards)
         assert plan_shards(specs, workers=3, min_lanes=6) == plan_shards(
             specs, workers=1, min_lanes=6
         )  # too narrow to split, whatever the worker count
+
+    def test_groups_below_min_lanes_become_one_cell_shards(self):
+        """The paper grid's Morphy group of four sits below a floor of five,
+        so each of its cells is a shard of its own, not one narrow shard."""
+        specs = ExperimentRunner(QUICK).grid_specs(
+            workloads=("DE", "SC", "RT", "PF"), trace_names=("RF Cart",)
+        )
+        morphy = [i for i, spec in enumerate(specs) if spec.buffer_index == 3]
+        assert len(morphy) == 4
+        shards = plan_shards(specs, workers=2, min_lanes=5)
+        assert [shard for shard in shards if shard[0] in morphy] == [
+            (index,) for index in morphy
+        ]
 
     def test_shard_count_tracks_worker_count(self):
         specs = ExperimentRunner(
@@ -204,20 +216,23 @@ class TestShardPlanning:
 class TestShardRetuning:
     """Observed per-cell wall-clock re-splits pending shards mid-sweep.
 
-    ``plan_shards`` sizes shards from lane counts alone (~2 per worker);
-    these tests drive ``_Coordinator._observe_shard_cost`` directly — no
-    sockets — and pin the retune invariants: splits respect the group
-    floor, dispatched shards keep their identity, bookkeeping stays
-    consistent, and the knob can be disabled.
+    ``plan_shards`` sizes shards from lane counts alone; these tests drive
+    ``_Coordinator._observe_shard_cost`` directly — no sockets — and pin
+    the retune invariants: splits respect ``min_lanes``, dispatched shards
+    keep their identity, bookkeeping stays consistent, and the knob can be
+    disabled.  The static ladder over two workloads is one 12-lane group;
+    two workers cut it into two 6-lane shards.
     """
 
-    def coordinator(self, buffer_factory, shard_target_seconds=30.0, **backend_kwargs):
+    def coordinator(
+        self, buffer_factory, shard_target_seconds=30.0, workers=1, **backend_kwargs
+    ):
         specs = ExperimentRunner(QUICK, buffer_factory=buffer_factory).grid_specs(
             workloads=("DE", "SC"), trace_names=("RF Cart",)
         )
         backend = RemoteBackend(
             inner="serial",
-            workers=1,
+            workers=workers,
             shard_target_seconds=shard_target_seconds,
             **backend_kwargs,
         )
@@ -234,14 +249,15 @@ class TestShardRetuning:
         assert run.report.shards_total == len(run.shards)
 
     def test_observed_heavy_cells_split_pending_shards(self):
-        run = self.coordinator(capybara_pair_buffers)
-        assert [len(shard.indices) for shard in run.pending] == [2, 2]
+        run = self.coordinator(static_ladder_buffers, workers=2, min_lanes=3)
+        assert [len(shard.indices) for shard in run.pending] == [6, 6]
         first = run.pending.popleft()
         first.attempts = 1  # in flight on a worker
-        # 20 s/cell against a 30 s target: pending shards shrink to 1 cell.
-        run._observe_shard_cost(first, wall_seconds=40.0)
+        # 20 s/cell against a 30 s target: the pending shard splits down to
+        # the floor of three lanes.
+        run._observe_shard_cost(first, wall_seconds=120.0)
         assert run.report.shard_splits == 1
-        assert [len(shard.indices) for shard in run.pending] == [1, 1]
+        assert [len(shard.indices) for shard in run.pending] == [3, 3]
         run.pending.appendleft(first)
         self.assert_consistent(run)
 
@@ -255,7 +271,7 @@ class TestShardRetuning:
     def test_lane_groups_never_split_below_min_lanes(self):
         # Six static lanes in one shard with a floor of five: even at
         # 20 s/cell the retune cannot carve off a sub-floor piece.
-        run = self.coordinator(static_ladder_buffers, min_lanes=5)
+        run = self.coordinator(static_ladder_buffers, workers=2, min_lanes=5)
         wide = run.pending[0]
         assert len(wide.indices) == 6
         run._observe_shard_cost(wide, wall_seconds=20.0 * len(wide.indices))
@@ -263,12 +279,12 @@ class TestShardRetuning:
         assert run.report.shard_splits == 0
 
     def test_requeued_shards_keep_their_identity(self):
-        run = self.coordinator(capybara_pair_buffers)
+        run = self.coordinator(static_ladder_buffers, workers=2, min_lanes=3)
         requeued = run.pending[0]
         requeued.attempts = 1  # already dispatched once, then requeued
-        run._observe_shard_cost(run.pending[1], wall_seconds=40.0)
+        run._observe_shard_cost(run.pending[1], wall_seconds=120.0)
         assert requeued in run.pending  # never split: retry ledger survives
-        assert len(requeued.indices) == 2
+        assert len(requeued.indices) == 6
 
     def test_none_disables_retuning(self):
         run = self.coordinator(capybara_pair_buffers, shard_target_seconds=None)
@@ -283,7 +299,7 @@ class TestShardRetuning:
 
 
 # ----------------------------------------------------------------------
-# Registry composition (the shared backend-prefix mechanism)
+# Name grammar: [cached:][remote:]<backend>
 # ----------------------------------------------------------------------
 
 
@@ -313,25 +329,6 @@ class TestPrefixRegistry:
             assert "serial" in str(excinfo.value)
         with pytest.raises(ConfigurationError):
             resolve_backend("cached:cached:serial", QUICK)
-
-    def test_split_and_lookup_helpers(self):
-        spec, inner = split_backend_name("cached:remote:serial")
-        assert spec is not None and spec.prefix == "cached:"
-        assert inner == "remote:serial"
-        assert backend_name_prefix("serial") is None
-        assert backend_name_prefix("remote:serial").prefix == "remote:"
-
-    def test_duplicate_prefix_registration_rejected_unless_replaced(self):
-        resolver = lambda name, settings: None  # noqa: E731 - never called
-        try:
-            register_backend_prefix("trial:", resolver)
-            with pytest.raises(ConfigurationError, match="already registered"):
-                register_backend_prefix("trial:", resolver)
-            register_backend_prefix("trial:", resolver, replace=True)
-            assert "trial:serial" in available_backends()
-        finally:
-            unregister_backend_prefix("trial:")
-        assert "trial:serial" not in available_backends()
 
 
 # ----------------------------------------------------------------------
@@ -546,11 +543,9 @@ class TestFaultTolerance:
         assert "scripted shard failure" in message
         # Every index named in the error is a real position in the grid.
         failed_shard = next(
-            shard
-            for shard in plan_shards(specs, workers=1)
-            if str(list(shard.indices)) in message
+            shard for shard in plan_shards(specs, workers=1) if str(list(shard)) in message
         )
-        assert set(failed_shard.indices) <= set(range(len(specs)))
+        assert set(failed_shard) <= set(range(len(specs)))
 
     def test_all_workers_exiting_fails_fast_not_hangs(self, monkeypatch):
         import sys

@@ -392,6 +392,22 @@ class TestCachedBackendEquivalence:
         for reference, candidate in zip(cold.results, warm.results):
             assert_results_equivalent(reference, candidate)
 
+    def test_hits_report_zero_wall_clock(self, tmp_path):
+        """A hit cost no simulation: it reports 0.0 s, not the cold run's
+        wall-clock, while the stored entry keeps the cold value."""
+        backend = CachedBackend(SerialBackend(), ResultStore(tmp_path))
+        specs = ExperimentRunner(QUICK).grid_specs(
+            workloads=("SC",), trace_names=("RF Cart",)
+        )
+        cold = backend.run_specs(specs)
+        warm = backend.run_specs(specs)
+        assert all(result.wall_clock_seconds > 0.0 for result in cold)
+        assert [result.wall_clock_seconds for result in warm] == [0.0] * len(specs)
+        for reference, candidate in zip(cold, warm):
+            assert_results_equivalent(reference, candidate)
+        stored = backend.store.load(specs[0])
+        assert stored.wall_clock_seconds == cold[0].wall_clock_seconds
+
     def test_partial_grids_only_compute_the_delta(self, tmp_path):
         settings = ExperimentSettings(quick=True, cache_dir=str(tmp_path))
         sweep(workloads=("SC",), trace_names=("RF Cart",), settings=settings)
