@@ -50,13 +50,6 @@ class BufferLedger:
             return 1.0
         return self.stored / self.offered
 
-    @property
-    def delivery_efficiency(self) -> float:
-        """Fraction of offered energy that reached the load."""
-        if self.offered <= 0.0:
-            return 0.0
-        return self.delivered / self.offered
-
 
 class LockstepKernel:
     """Shared fast-forward machinery for batch lockstep kernels.

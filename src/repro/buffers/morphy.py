@@ -542,10 +542,6 @@ class MorphyBuffer(EnergyBuffer):
 
     # -- internals -----------------------------------------------------------------------------------
 
-    def _set_output_voltage(self, new_output: float) -> None:
-        """Charge or discharge the network at its output terminals."""
-        self._shift_output_voltage(max(0.0, new_output) - self.output_voltage)
-
     def _shift_output_voltage(self, delta_v: float) -> None:
         """Move the output voltage by ``delta_v`` through the output terminals.
 

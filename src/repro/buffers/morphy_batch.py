@@ -89,6 +89,16 @@ class MorphyBatchKernel(LockstepKernel):
     the hint masks instead.
     """
 
+    #: The buffer class whose lanes this kernel hosts.
+    buffer_type = MorphyBuffer
+
+    #: Narrowest lane group worth a lockstep batch (see
+    #: :func:`repro.sim.batch.lane_floor`): the crossover
+    #: ``benchmarks/crossover.py`` measured on a 2-core host, batch/serial
+    #: median (wins of 5) 1.31 (1) on RF Cart and 1.35 (1) on RF Mobile at
+    #: 10 lanes, 0.68 (5) and 0.54 (5) at 20 lanes.
+    min_lanes = 20
+
     def __init__(self, buffers: Sequence[MorphyBuffer]) -> None:
         self.buffers: List[MorphyBuffer] = list(buffers)
         template = self.buffers[0]
@@ -161,7 +171,7 @@ class MorphyBatchKernel(LockstepKernel):
     @classmethod
     def build(cls, buffers: Sequence[EnergyBuffer]) -> Optional["MorphyBatchKernel"]:
         """A kernel over ``buffers``, or None if they cannot share one."""
-        if not all(isinstance(b, MorphyBuffer) and b.can_batch() for b in buffers):
+        if not all(isinstance(b, cls.buffer_type) and b.can_batch() for b in buffers):
             return None
         if len({b.batch_key() for b in buffers}) != 1:
             return None  # mixed topologies cannot share the masks

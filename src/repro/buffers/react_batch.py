@@ -135,6 +135,16 @@ class ReactBatchKernel(LockstepKernel):
     #: opt-in rather than an engine default.
     wants_expiry_clustering = True
 
+    #: The buffer class whose lanes this kernel hosts.
+    buffer_type = ReactBuffer
+
+    #: Narrowest lane group worth a lockstep batch (see
+    #: :func:`repro.sim.batch.lane_floor`): the crossover
+    #: ``benchmarks/crossover.py`` measured on a 2-core host, batch/serial
+    #: median (wins of 5) 1.31 (1) on RF Cart and 1.34 (0) on RF Mobile at
+    #: 20 lanes, 0.63 (5) and 0.65 (5) at 40 lanes.
+    min_lanes = 40
+
     def __init__(self, buffers: Sequence[ReactBuffer]) -> None:
         self.buffers: List[ReactBuffer] = list(buffers)
         n = len(self.buffers)
@@ -315,7 +325,7 @@ class ReactBatchKernel(LockstepKernel):
     @classmethod
     def build(cls, buffers: Sequence[EnergyBuffer]) -> Optional["ReactBatchKernel"]:
         """A kernel spanning ``buffers``, or None if any lane doesn't fit."""
-        if not all(isinstance(b, ReactBuffer) and b.can_batch() for b in buffers):
+        if not all(isinstance(b, cls.buffer_type) and b.can_batch() for b in buffers):
             return None
         if len({b.batch_key() for b in buffers}) != 1:
             return None

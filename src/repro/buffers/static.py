@@ -407,6 +407,18 @@ class StaticBatchKernel(LockstepKernel):
     #: lane-step, so fast-forwarding pays off for any lane-group size.
     fast_forward_needs_full_batch = False
 
+    #: The buffer class whose lanes this kernel hosts.
+    buffer_type = StaticBuffer
+
+    #: Narrowest lane group worth a lockstep batch (see
+    #: :func:`repro.sim.batch.lane_floor`).  ``benchmarks/crossover.py``,
+    #: 2-core host, batch/serial median (wins of 5): 20 lanes 1.41 (0) on
+    #: RF Cart and 1.28 (0) on RF Mobile; 40 lanes 1.03 (1) and 0.92 (4);
+    #: 80 lanes 0.95 (5) and 0.74 (5).  The strict crossover is 80, but
+    #: 40 lanes already break even on RF Cart and win on RF Mobile, and the
+    #: floor must stay at or below perfbench's 64-lane capacitance sweep.
+    min_lanes = 40
+
     def __init__(self, buffers: Sequence[StaticBuffer], caps: CapacitorArray) -> None:
         self.buffers = list(buffers)
         self.caps = caps
@@ -415,7 +427,7 @@ class StaticBatchKernel(LockstepKernel):
     @classmethod
     def build(cls, buffers: Sequence[EnergyBuffer]) -> Optional["StaticBatchKernel"]:
         """A kernel over ``buffers``, or None if any lane is unbatchable."""
-        if not all(isinstance(b, StaticBuffer) and b.can_batch() for b in buffers):
+        if not all(isinstance(b, cls.buffer_type) and b.can_batch() for b in buffers):
             return None
         caps = CapacitorArray.from_capacitors([b._capacitor for b in buffers])
         if caps is None:

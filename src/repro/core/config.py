@@ -107,13 +107,6 @@ class ReactConfig:
         )
 
     @property
-    def total_physical_capacitance(self) -> float:
-        """Sum of every capacitor on the board (same as maximum_capacitance)."""
-        return self.last_level_capacitance + sum(
-            bank.total_capacitance for bank in self.banks
-        )
-
-    @property
     def capacitance_levels(self) -> List[float]:
         """Equivalent capacitance after each controller step-up, in order.
 

@@ -16,9 +16,10 @@ matter how execution is scheduled.  Four backends ship in-tree:
     Packs each trace's batchable specs into vectorized
     :class:`~repro.sim.batch.BatchSimulator` lockstep runs — one per
     lockstep kernel (static lanes together, each Morphy topology
-    together); the rest fall back to the scalar engine, lane by lane.
+    together) whose group reaches that kernel's lane floor; the rest fall
+    back to the scalar engine, lane by lane.
 ``pool+batch``
-    Composes both: :func:`plan_shards` cuts each wide (trace, kernel) lane
+    Composes both: :func:`plan_shards` cuts each (trace, kernel) lane
     group into contiguous lane shards and every other cell into a one-cell
     shard, and each worker process runs its shard through the batch
     backend — the process-pool speedup multiplied by the lockstep speedup.
@@ -45,7 +46,9 @@ kernel compatibility
 derives the trace grouping, :func:`partition_batchable` refines it into
 the per-kernel lane groups any batch-style backend needs, and
 :func:`plan_shards` cuts those into the shards that both sharding backends,
-``pool+batch`` and ``remote:``, execute.
+``pool+batch`` and ``remote:``, execute.  A lane group only forms when it
+reaches its kernel's :func:`~repro.sim.batch.lane_floor`, so no backend
+takes a width setting.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ from repro.experiments.runner import (
 )
 from repro.harvester.trace import PowerTrace
 from repro.platform.mcu import MSP430FR5994
-from repro.sim.batch import DEFAULT_SCALAR_TAIL_LANES, BatchSimulator
+from repro.sim.batch import BatchSimulator, lane_floor
 from repro.sim.results import SimulationResult
 from repro.sim.system import BatterylessSystem
 
@@ -94,10 +97,6 @@ CACHED_PREFIX = "cached:"
 
 #: Name prefix selecting the coordinator/worker transport: ``remote:<inner>``.
 REMOTE_PREFIX = "remote:"
-
-#: Narrowest lane group worth a lockstep batch: one more than the batch
-#: simulator's scalar tail, which would take a narrower batch straight back.
-MIN_LANES = DEFAULT_SCALAR_TAIL_LANES + 1
 
 
 @dataclass(frozen=True)
@@ -204,27 +203,28 @@ class _BufferSupply:
     instances index-by-index from stacked factory outputs instead of
     building the full list once per lane: the factory runs as many times as
     the highest per-index demand (the workload count, for grid-shaped
-    groups), not once per lane.  ``batch_key`` values are per-index
-    configuration, identical across instances, so one factory output
-    answers them for every spec sharing the factory.
+    groups), not once per lane.  ``batch_key`` values and lane floors are
+    per-index configuration, identical across instances, so one factory
+    output answers them for every spec sharing the factory.
     """
 
     def __init__(self, factory: Callable[[], List[EnergyBuffer]]) -> None:
         self._factory = factory
         self._stacks: Dict[int, List[EnergyBuffer]] = {}
-        self._batch_keys: Optional[List[Optional[Hashable]]] = None
+        self._kernels: Optional[List[Tuple[Optional[Hashable], Optional[int]]]] = None
 
     def _replenish(self) -> None:
         fresh = self._factory()
-        if self._batch_keys is None:
-            self._batch_keys = [buffer.batch_key() for buffer in fresh]
+        if self._kernels is None:
+            self._kernels = [(b.batch_key(), lane_floor(b)) for b in fresh]
         for index, buffer in enumerate(fresh):
             self._stacks.setdefault(index, []).append(buffer)
 
-    def batch_key(self, index: int) -> Optional[Hashable]:
-        if self._batch_keys is None:
+    def kernel(self, index: int) -> Tuple[Optional[Hashable], Optional[int]]:
+        """``index``'s batch key and lane floor (both None if unbatchable)."""
+        if self._kernels is None:
             self._replenish()
-        return self._batch_keys[index]
+        return self._kernels[index]
 
     def take(self, index: int) -> EnergyBuffer:
         """A fresh, never-used buffer instance for ``index``."""
@@ -248,16 +248,18 @@ def partition_batchable(
 ) -> Tuple[List[List[int]], List[int]]:
     """Spec indices split into batchable lane groups and the rest.
 
-    The single source of truth both batch-style backends partition with, so
-    they can never disagree on which cells batch.  Within each trace group,
-    specs are further keyed on their buffer's
+    The single source of truth every batch-style backend partitions with,
+    so they can never disagree on which cells batch.  Within each trace
+    group, specs are further keyed on their buffer's
     :meth:`~repro.buffers.base.EnergyBuffer.batch_key` — a lockstep batch
     needs one kernel over every lane, so static-kernel lanes and (per
-    topology) Morphy-kernel lanes form separate groups.  Returns
-    ``(lane_groups, singles)``: one index list per (trace, kernel) group
-    (spec order preserved), plus every unbatchable spec.  Pass ``supplies``
-    to keep drawing lane buffers from the same factory outputs used for the
-    ``batch_key`` checks.
+    topology) Morphy-kernel lanes form separate groups.  A group narrower
+    than its kernel's :func:`~repro.sim.batch.lane_floor` would lose to the
+    scalar engine, so its cells join the rest.  Returns
+    ``(lane_groups, singles)``: one index list per (trace, kernel) group at
+    or above its floor (spec order preserved), plus every other spec, in
+    spec order.  Pass ``supplies`` to keep drawing lane buffers from the
+    same factory outputs used for the ``batch_key`` checks.
     """
     if supplies is None:
         supplies = {}
@@ -265,14 +267,20 @@ def partition_batchable(
     singles: List[int] = []
     for indices in trace_groups(specs).values():
         by_kernel: Dict[Hashable, List[int]] = {}
+        floors: Dict[Hashable, int] = {}
         for i in indices:
-            key = _supply_for(supplies, specs[i]).batch_key(specs[i].buffer_index)
+            key, floor = _supply_for(supplies, specs[i]).kernel(specs[i].buffer_index)
             if key is None:
                 singles.append(i)
             else:
                 by_kernel.setdefault(key, []).append(i)
-        lane_groups.extend(by_kernel.values())
-    return lane_groups, singles
+                floors[key] = floor
+        for key, group in by_kernel.items():
+            if len(group) >= floors[key]:
+                lane_groups.append(group)
+            else:
+                singles.extend(group)
+    return lane_groups, sorted(singles)
 
 
 def _split_evenly(items: List[int], chunks: int) -> List[List[int]]:
@@ -288,30 +296,34 @@ def _split_evenly(items: List[int], chunks: int) -> List[List[int]]:
     return out
 
 
-def plan_shards(
-    specs: Sequence[RunSpec], workers: int, min_lanes: int = MIN_LANES
-) -> List[Tuple[int, ...]]:
+def shard_floor(specs: Sequence[RunSpec], shard: Sequence[int]) -> int:
+    """The narrowest piece ``shard`` may split into: its kernel's lane floor.
+
+    A lane shard's cells share one kernel, so its first cell answers; a
+    cell that cannot batch has a floor of one.
+    """
+    spec = specs[shard[0]]
+    return lane_floor(spec.build_buffer()) or 1
+
+
+def plan_shards(specs: Sequence[RunSpec], workers: int) -> List[Tuple[int, ...]]:
     """Spec indices cut into shards along :func:`partition_batchable` lines.
 
     The one shard plan of both sharding backends: ``pool+batch`` runs it
-    over a process pool and ``remote:`` over its worker fleet.  A lane
-    group of at least ``min_lanes`` lanes splits into contiguous chunks so
-    the shard count reaches ``workers``, never into a chunk narrower than
-    ``min_lanes`` (it would just run scalar inside a batch).  Every other
-    cell, unbatchable or in a narrower group, is a shard of its own: these
+    over a process pool and ``remote:`` over its worker fleet.  Each lane
+    group splits into contiguous chunks so the shard count reaches
+    ``workers``, never into a chunk narrower than its kernel's lane floor
+    (it would just run scalar inside a batch).  Every other cell,
+    unbatchable or in a group below its floor, is a shard of its own: these
     are often the heaviest cells, and as separate jobs they spread over
     the workers.  Shards come back in spec order, and so do the indices
     inside each shard.
     """
     lane_groups, singles = partition_batchable(specs)
-    wide = [group for group in lane_groups if len(group) >= min_lanes]
     shards = [(index,) for index in singles]
-    shards.extend(
-        (index,) for group in lane_groups if len(group) < min_lanes for index in group
-    )
-    chunks_per_group = max(1, workers // max(1, len(wide)))
-    for group in wide:
-        chunks = min(chunks_per_group, len(group) // min_lanes)
+    chunks_per_group = max(1, workers // max(1, len(lane_groups)))
+    for group in lane_groups:
+        chunks = min(chunks_per_group, len(group) // shard_floor(specs, group))
         shards.extend(tuple(piece) for piece in _split_evenly(group, chunks))
     return sorted(shards)
 
@@ -383,21 +395,18 @@ class ProcessPoolBackend:
 class BatchBackend:
     """Vectorized lockstep execution of trace-sharing specs.
 
-    Every group of batchable specs that shares a trace becomes one
+    Every lane group :func:`partition_batchable` forms becomes one
     :class:`~repro.sim.batch.BatchSimulator` run; specs whose buffer has no
     batched kernel (:meth:`~repro.buffers.base.EnergyBuffer.can_batch` is
-    False) and groups narrower than ``min_lanes`` run through the scalar
-    engine instead, so a mixed grid still returns exactly the serial
-    backend's results in spec order.  ``min_lanes`` guards against
-    degenerate batches the simulator would immediately hand to its scalar
-    tail anyway — hence the default of one more than the tail width.
+    False) and groups narrower than their kernel's lane floor run through
+    the scalar engine instead, so a mixed grid still returns exactly the
+    serial backend's results in spec order.
 
     ``progress`` fires in spec order, but only after the whole grid has
     been computed (lanes finish interleaved inside a batch, so there is no
     meaningful earlier moment per cell).
     """
 
-    min_lanes: int = MIN_LANES
     name = "batch"
 
     def run_specs(
@@ -411,8 +420,6 @@ class BatchBackend:
         supplies: Dict[Callable[[], List[EnergyBuffer]], _BufferSupply] = {}
         lane_groups, _ = partition_batchable(specs, supplies)
         for group in lane_groups:
-            if len(group) < self.min_lanes:
-                continue  # the sweep below runs these cells scalar
             first = specs[group[0]]
             settings = first.settings
             trace = traces.get(first.group_key)
@@ -468,8 +475,8 @@ class PoolBatchBackend:
     other cell is a one-cell shard that runs scalar, so this backend also
     parallelizes the scalar remainder the plain batch backend runs
     serially: the Capybara extension, which has no lockstep kernel, and
-    lane groups narrower than :data:`MIN_LANES`, such as the paper grid's
-    four REACT lanes per trace.
+    lane groups narrower than their kernel's lane floor, such as the paper
+    grid's four REACT lanes per trace.
 
     Lane shards never mix groups: every lane in a shard shares the trace,
     the timestep pair, and the lockstep kernel family, which is exactly

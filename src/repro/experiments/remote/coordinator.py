@@ -45,13 +45,13 @@ from typing import List, Optional, Sequence, Tuple
 from repro.exceptions import ConfigurationError, SweepTransportError
 from repro.experiments.backends import (
     CACHED_PREFIX,
-    MIN_LANES,
     REMOTE_PREFIX,
     ProgressCallback,
     RunSpec,
     _split_evenly,
     available_backends,
     plan_shards,
+    shard_floor,
 )
 from repro.experiments.remote import protocol
 from repro.experiments.remote.launcher import LocalWorkerPool
@@ -79,10 +79,14 @@ DEFAULT_SHARD_TARGET_SECONDS = 30.0
 
 @dataclass
 class _Shard:
-    """One unit of dispatch: one :func:`plan_shards` shard, or a piece of one."""
+    """One unit of dispatch: one :func:`plan_shards` shard, or a piece of one.
+
+    The retune never splits it into pieces narrower than ``floor``.
+    """
 
     shard_id: int
     indices: Tuple[int, ...]
+    floor: int
     attempts: int = 0
     done: bool = False
     last_error: Optional[str] = None
@@ -164,7 +168,6 @@ class RemoteBackend:
         workers: int = DEFAULT_LOCAL_WORKERS,
         listen: Optional[Tuple[str, int]] = None,
         *,
-        min_lanes: int = MIN_LANES,
         shard_timeout: Optional[float] = DEFAULT_SHARD_TIMEOUT,
         shard_target_seconds: Optional[float] = DEFAULT_SHARD_TARGET_SECONDS,
         heartbeat_timeout: float = 20.0,
@@ -197,7 +200,6 @@ class RemoteBackend:
         self.inner = inner
         self.workers = workers
         self.listen = listen
-        self.min_lanes = min_lanes
         self.shard_timeout = shard_timeout
         self.shard_target_seconds = shard_target_seconds
         self.heartbeat_timeout = heartbeat_timeout
@@ -238,9 +240,9 @@ class _Coordinator:
         self.backend = backend
         self.specs = specs
         self.shards = [
-            _Shard(shard_id=shard_id, indices=indices)
+            _Shard(shard_id, indices, shard_floor(specs, indices))
             for shard_id, indices in enumerate(
-                plan_shards(specs, backend.workers or 1, backend.min_lanes)
+                plan_shards(specs, backend.workers or 1)
             )
         ]
         self.shard_by_id = {shard.shard_id: shard for shard in self.shards}
@@ -517,7 +519,7 @@ class _Coordinator:
         worker count alone, whatever the per-cell cost; once completed
         shards reveal how expensive a cell actually is, any pending shard
         predicted to run well past ``shard_target_seconds`` is split down —
-        never below the backend's ``min_lanes``, so a one-cell shard never
+        never below its own kernel's lane floor, and a one-cell shard never
         splits — so stragglers shrink, workers stay balanced through the
         drain, and a requeued retry re-runs less work.  Shards that already
         dispatched once keep their identity: splitting them would reset the
@@ -528,14 +530,13 @@ class _Coordinator:
         if per_cell is None or target is None or per_cell <= 0.0:
             return
         limit = max(1, int(target / per_cell))
-        min_lanes = self.backend.min_lanes
         retuned: deque = deque()
         for shard in self.pending:
             chunks = 1
-            if shard.attempts == 0 and len(shard.indices) > max(limit, min_lanes):
+            if shard.attempts == 0 and len(shard.indices) > max(limit, shard.floor):
                 chunks = min(
                     -(-len(shard.indices) // limit),  # ceil → pieces near target
-                    len(shard.indices) // min_lanes,
+                    len(shard.indices) // shard.floor,
                 )
             if chunks <= 1:
                 retuned.append(shard)
@@ -545,7 +546,9 @@ class _Coordinator:
             pieces = _split_evenly(list(shard.indices), chunks)
             for piece in pieces:
                 replacement = _Shard(
-                    shard_id=self._next_shard_id, indices=tuple(piece)
+                    shard_id=self._next_shard_id,
+                    indices=tuple(piece),
+                    floor=shard.floor,
                 )
                 self._next_shard_id += 1
                 self.shards.append(replacement)

@@ -395,8 +395,7 @@ class CachedBackend:
 
     Preserves the backend contract exactly — one result per spec, in spec
     order, bit-identical to the inner backend (a hit is just an earlier
-    run's result, except that it reports a ``wall_clock_seconds`` of 0.0:
-    it cost no simulation) — and exposes the last run's hit/miss delta as
+    run's result) — and exposes the last run's hit/miss delta as
     :attr:`last_run_stats`, which :func:`repro.experiments.sweep` surfaces
     as ``SweepResult.cache_stats``.  ``progress`` fires in spec order after
     the grid completes (hits and misses finish interleaved, so there is no
@@ -437,7 +436,7 @@ class CachedBackend:
             if hit is None:
                 miss_indices.append(index)
             else:
-                results[index] = dataclasses.replace(hit, wall_clock_seconds=0.0)
+                results[index] = hit
         if miss_indices:
             computed = self.inner.run_specs([specs[i] for i in miss_indices])
             for index, result in zip(miss_indices, computed):

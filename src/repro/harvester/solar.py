@@ -65,10 +65,6 @@ class SolarPanel:
             raise ValueError(f"irradiance must be non-negative, got {irradiance}")
         return irradiance * self.area_m2 * self.efficiency * self.fill_factor
 
-    def full_sun_power(self) -> float:
-        """Output power under standard one-sun illumination."""
-        return self.power_from_irradiance(FULL_SUN_IRRADIANCE)
-
     def trace_from_irradiance(
         self, irradiance: np.ndarray, sample_period: float = 1.0, name: str = "solar"
     ) -> PowerTrace:

@@ -89,11 +89,6 @@ class Microcontroller:
         """The power gate disconnected the MCU (brown-out or cold start)."""
         self.mode = PowerMode.OFF
 
-    @property
-    def is_on(self) -> bool:
-        """True when the MCU is powered (active or in either sleep mode)."""
-        return self.mode is not PowerMode.OFF
-
     # -- electrical ------------------------------------------------------------
 
     def current(self, mode: PowerMode | None = None) -> float:

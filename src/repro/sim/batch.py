@@ -60,17 +60,29 @@ don't apply (no promise, or an energy-guarded longevity wait) simply step.
 ``fast_forward=False`` disables the skip along with the scalar tail's fast
 paths.
 
+Lane floors
+-----------
+
+An array step pays a roughly fixed numpy dispatch cost however few lanes
+it carries, so a lockstep batch only beats the scalar engine above a
+width that differs by kernel.  Each kernel class declares its measured
+crossover (``benchmarks/crossover.py``) as ``min_lanes``, read only by
+:func:`lane_floor`.  A batch narrower than its floor runs every lane on
+the scalar engine, and once retirements leave fewer live lanes than the
+floor, the survivors hand off to the scalar engine mid-flight (all lane
+state lives in, or is written back to, the component objects).
+
 The simulator does not support attaching a :class:`~repro.sim.recorder.Recorder`;
 timeline recording is a single-system concern and stays on the scalar engine.
 """
 
 from __future__ import annotations
 
-import time as wall_clock
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.buffers.base import EnergyBuffer
 from repro.buffers.morphy_batch import MorphyBatchKernel
 from repro.buffers.react_batch import ReactBatchKernel
 from repro.buffers.static import StaticBatchKernel
@@ -82,28 +94,35 @@ from repro.sim.segments import LaneSegmentPlanner, cluster_expiry_budgets
 from repro.sim.system import BatterylessSystem
 from repro.workloads.base import StepContext
 
-#: Default batch width at or below which the lockstep loop hands surviving
-#: lanes to the scalar engine (see ``BatchSimulator.scalar_tail_lanes``).
-DEFAULT_SCALAR_TAIL_LANES = 4
-
-#: The in-tree lockstep kernels, tried in order.  Each ``build`` returns a
-#: kernel when *every* lane's buffer fits its vectorized recurrence, else
-#: None; lanes of different kernel families never share a batch (the
-#: experiment layer partitions on
+#: The in-tree lockstep kernel classes, tried in order.  Each ``build``
+#: returns a kernel when *every* lane's buffer fits its vectorized
+#: recurrence, else None; lanes of different kernel families never share a
+#: batch (the experiment layer partitions on
 #: :meth:`~repro.buffers.base.EnergyBuffer.batch_key` before building one).
-KERNEL_BUILDERS = (
-    StaticBatchKernel.build,
-    MorphyBatchKernel.build,
-    ReactBatchKernel.build,
-)
+KERNEL_BUILDERS = (StaticBatchKernel, MorphyBatchKernel, ReactBatchKernel)
 
 
 def build_batch_kernel(buffers):
     """The first kernel that accepts every buffer in ``buffers``, or None."""
-    for builder in KERNEL_BUILDERS:
-        kernel = builder(buffers)
+    for kernel_class in KERNEL_BUILDERS:
+        kernel = kernel_class.build(buffers)
         if kernel is not None:
             return kernel
+    return None
+
+
+def lane_floor(buffer: EnergyBuffer) -> Optional[int]:
+    """The narrowest lane group worth a lockstep batch of ``buffer``'s kernel.
+
+    That is the ``min_lanes`` of the kernel class hosting ``buffer``, or
+    None when no kernel can host it.  Every batch-or-scalar decision reads
+    its floor here: :class:`BatchSimulator` for its start and its scalar
+    tail, and the experiment layer's partitioner and shard planners.
+    """
+    if buffer.can_batch():
+        for kernel_class in KERNEL_BUILDERS:
+            if isinstance(buffer, kernel_class.buffer_type):
+                return kernel_class.min_lanes
     return None
 
 
@@ -116,6 +135,9 @@ class BatchSimulator:
     fit one lockstep kernel (equal, non-None
     :meth:`~repro.buffers.base.EnergyBuffer.batch_key`); callers route
     other lanes to the scalar engine.
+
+    The kernel's :func:`lane_floor` bounds the lockstep part of the run
+    (see "Lane floors" above).
     """
 
     def __init__(
@@ -126,7 +148,6 @@ class BatchSimulator:
         drain_after_trace: bool = True,
         max_drain_time: float = 600.0,
         max_steps: int = 50_000_000,
-        scalar_tail_lanes: int = DEFAULT_SCALAR_TAIL_LANES,
         fast_forward: bool = True,
     ) -> None:
         if not systems:
@@ -137,21 +158,12 @@ class BatchSimulator:
             raise SimulationError("dt_off should be at least as large as dt_on")
         if max_drain_time < 0.0:
             raise SimulationError("max drain time must be non-negative")
-        if scalar_tail_lanes < 0:
-            raise SimulationError("scalar tail width must be non-negative")
         self.systems = list(systems)
         self.dt_on = dt_on
         self.dt_off = dt_off
         self.drain_after_trace = drain_after_trace
         self.max_drain_time = max_drain_time
         self.max_steps = max_steps
-        #: Once lane retirement narrows the batch to this many survivors, the
-        #: remaining lanes are handed to the scalar engine mid-flight (every
-        #: piece of lane state lives in, or is written back to, the component
-        #: objects): an array step over a handful of lanes costs more in
-        #: numpy dispatch than the scalar per-step machinery it replaces.
-        #: Zero disables the hand-off.
-        self.scalar_tail_lanes = scalar_tail_lanes
         #: Whether hand-off Simulators may use the scalar fast paths and
         #: the lockstep loop may honour workload quiescence hints (skipping
         #: per-lane workload dispatch while a hint holds).  The lockstep
@@ -212,10 +224,9 @@ class BatchSimulator:
 
     def run(self) -> List[SimulationResult]:
         """Simulate every lane to completion; results in input order."""
-        started_at = wall_clock.perf_counter()
         run = _LockstepRun(self)
-        if len(self.systems) <= self.scalar_tail_lanes:
-            # Too narrow for an array step to ever pay for itself: run every
+        if len(self.systems) < run.floor:
+            # Too narrow for an array step to pay for itself: run every
             # lane on the scalar engine from the start.
             run.hand_off_all()
         else:
@@ -233,20 +244,9 @@ class BatchSimulator:
                     # iteration ride the normal step as exact no-ops.
                     run.step(skipped)
                 run.iterations += 1
-
-        # Attribute the shared batch time evenly; lanes finished by the
-        # scalar tail hand-off additionally keep their own measured time.
         results = run.results
-        elapsed = wall_clock.perf_counter() - started_at
-        batch_share = (elapsed - sum(
-            r.wall_clock_seconds for r in results if r is not None
-        )) / len(results)
-        finished: List[SimulationResult] = []
-        for result in results:
-            assert result is not None  # every lane retires exactly once
-            result.wall_clock_seconds += batch_share
-            finished.append(result)
-        return finished
+        assert all(r is not None for r in results)  # each lane retires once
+        return results
 
 
 #: MCU modes in lane-slot order.  A lane's ``mode_current`` and ``mode_time``
@@ -400,6 +400,8 @@ class _LockstepRun:
         self.n_enabled = 0
         self.all_past_trace = False
         self.kernel_set_system_on = getattr(kernel, "set_system_on", None)
+        # Fewer live lanes than this hand off to the scalar engine.
+        self.floor = lane_floor(kernel.buffers[0])
         # Hint-expiry clustering (see cluster_expiry_budgets) trades skip
         # length for phase-lock: it pays off for REACT's all-lanes-must-agree
         # replay but slows kernels whose lanes replay fine unaligned.
@@ -556,8 +558,8 @@ class _LockstepRun:
         """Retire finished lanes; False once no lane is left in lockstep.
 
         A lane finishes on the scalar engine's two loop-exit tests.  When
-        retirement narrows the batch to the scalar-tail width, the
-        survivors are handed off and the lockstep loop ends too.
+        retirement leaves fewer live lanes than the kernel's lane floor,
+        the survivors are handed off and the lockstep loop ends too.
         """
         lanes = self.lanes
         time = lanes.time
@@ -588,7 +590,7 @@ class _LockstepRun:
         self.kernel.compact(keep)
         lanes.compact(keep)
         self.n_enabled = int(lanes.enabled.sum())
-        if len(lanes.time) <= self.simulator.scalar_tail_lanes:
+        if len(lanes.time) < self.floor:
             self.hand_off_all()
             return False
         return True

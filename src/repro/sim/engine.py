@@ -79,7 +79,6 @@ interval that produced the recorded state.
 
 from __future__ import annotations
 
-import time as wall_clock
 from typing import Optional
 
 from repro.exceptions import SimulationError
@@ -131,7 +130,6 @@ class Simulator:
 
     def run(self) -> SimulationResult:
         """Run the full trace (plus drain period) and return the result."""
-        started_at = wall_clock.perf_counter()
         system = self.system
         frontend, buffer = system.frontend, system.buffer
         mcu, gate, workload = system.mcu, system.gate, system.workload
@@ -290,7 +288,6 @@ class Simulator:
             buffer_ledger=buffer.ledger.as_dict(),
             energy_offered=buffer.ledger.offered,
             energy_delivered_to_load=buffer.ledger.delivered,
-            wall_clock_seconds=wall_clock.perf_counter() - started_at,
         )
 
     def _advance_off_phase(self, time, planner, step_budget):

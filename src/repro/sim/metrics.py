@@ -41,17 +41,6 @@ def normalize_to_reference(
     return {name: value / reference_value for name, value in values.items()}
 
 
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean, treating non-positive entries as zero contribution."""
-    cleaned = [value for value in values if value > 0.0]
-    if not cleaned:
-        return 0.0
-    product = 1.0
-    for value in cleaned:
-        product *= value
-    return product ** (1.0 / len(cleaned))
-
-
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean of a sequence (0.0 for an empty sequence).
 
@@ -108,21 +97,6 @@ def mean_normalized_performance(
             buffer_name: mean(values) for buffer_name, values in accumulator.items()
         }
     return summary
-
-
-def latency_table(results: Iterable[SimulationResult]) -> Dict[str, Dict[str, float]]:
-    """Index latency as ``{trace: {buffer: latency_seconds}}`` (Table 4)."""
-    table: Dict[str, Dict[str, float]] = {}
-    for result in results:
-        trace_table = table.setdefault(result.trace_name, {})
-        value = result.latency if result.latency is not None else float("inf")
-        # Latency is workload-invariant, so any workload's value is fine;
-        # keep the smallest observed to be safe against drain-phase noise.
-        existing = trace_table.get(result.buffer_name)
-        trace_table[result.buffer_name] = (
-            value if existing is None else min(existing, value)
-        )
-    return table
 
 
 def improvement_over(

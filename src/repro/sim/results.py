@@ -30,7 +30,6 @@ class SimulationResult:
     buffer_ledger: Dict[str, float] = field(default_factory=dict)
     energy_offered: float = 0.0
     energy_delivered_to_load: float = 0.0
-    wall_clock_seconds: float = 0.0
 
     @property
     def started(self) -> bool:

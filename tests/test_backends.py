@@ -1,6 +1,6 @@
 """The pluggable execution-backend API.
 
-Three contracts are pinned here:
+Four contracts are pinned here:
 
 * **Registry round-trip** — backends are looked up by name, unknown names
   fail with the registry contents, and an out-of-tree backend registers
@@ -8,11 +8,13 @@ Three contracts are pinned here:
   remote/sharded dispatch backend plugs into).
 * **`pool+batch` equivalence** — the composed backend runs the *full*
   quick-mode grid (every workload, trace, and buffer: static-kernel lanes
-  shard into lockstep batches, and every cell of a group narrower than
-  ``min_lanes`` — the grid's four Morphy and four REACT lanes per trace —
-  is a one-cell shard that runs scalar) and returns the serial backend's results in serial order, exactly
-  (``tests/oracle.py``: counters, times, metrics and energy ledgers all
-  ``==``).
+  shard into lockstep batches, and every cell of a group narrower than its
+  kernel's lane floor — the grid's four Morphy and four REACT lanes per
+  trace — is a one-cell shard that runs scalar) and returns the serial
+  backend's results in serial order, exactly (``tests/oracle.py``:
+  counters, times, metrics and energy ledgers all ``==``).
+* **Lane floors** — a lane group batches exactly when it is at least as
+  wide as its kernel's floor, under ``batch`` and ``pool+batch`` alike.
 * **Ordered collection** — pool-style backends must hide out-of-order
   worker completion.
 """
@@ -24,6 +26,9 @@ from typing import List, Optional
 import pytest
 
 from repro.buffers.morphy import MorphyBuffer
+from repro.buffers.morphy_batch import MorphyBatchKernel
+from repro.buffers.react_adapter import ReactBuffer
+from repro.buffers.react_batch import ReactBatchKernel
 from repro.buffers.static import StaticBuffer
 from repro.exceptions import ConfigurationError
 from repro.experiments.backends import (
@@ -35,6 +40,7 @@ from repro.experiments.backends import (
     _split_evenly,
     available_backends,
     execute_spec_shard,
+    partition_batchable,
     plan_shards,
     register_backend,
     resolve_backend,
@@ -44,7 +50,7 @@ from repro.experiments.backends import (
 from repro.experiments.runner import ExperimentRunner, ExperimentSettings
 from repro.experiments import sweep
 from repro.sim.results import SimulationResult
-from repro.units import microfarads, millifarads
+from repro.units import microfarads, milliamps, millifarads
 
 from oracle import assert_results_equivalent
 
@@ -72,6 +78,25 @@ def morphy_ladder_buffers():
             name=f"Morphy {0.5 * (index + 1):.1f} mF",
         )
         for index in range(12)
+    ]
+
+
+def react_hint_buffers():
+    """Six hint-diverse REACT lanes sharing one kernel."""
+    return [
+        ReactBuffer(
+            name=f"REACT {hint:.2f} mA", active_current_hint=milliamps(hint)
+        )
+        for hint in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+    ]
+
+
+def five_react_five_morphy_buffers():
+    """Five REACT lanes and five Morphy unit capacitances: perfbench's
+    adaptive sweep, two groups narrower than their floors."""
+    return react_hint_buffers()[:5] + [
+        MorphyBuffer(unit_capacitance=millifarads(unit), name=f"Morphy {unit} mF")
+        for unit in (0.5, 1.0, 2.0, 3.0, 4.0)
     ]
 
 
@@ -181,23 +206,76 @@ class TestPartitioning:
         assert _split_evenly(list(range(4)), 1) == [[0, 1, 2, 3]]
 
 
+class TestLaneFloors:
+    """Each kernel's ``min_lanes`` decides batch vs scalar, per group."""
+
+    SHORT = ExperimentSettings(quick=True, quick_trace_cap=120.0)
+
+    def test_narrow_adaptive_groups_run_scalar_and_build_no_kernel(
+        self, lane_floors
+    ):
+        """Five REACT and five Morphy lanes are below both kernels' floors:
+        ``batch`` and ``pool+batch`` run every cell scalar, no kernel is
+        built (in this process or a pool worker), and the results equal
+        serial."""
+        assert ReactBatchKernel.min_lanes > 5 and MorphyBatchKernel.min_lanes > 5
+        grid = dict(
+            workloads=("DE",),
+            trace_names=("RF Mobile",),
+            settings=self.SHORT,
+            buffer_factory=five_react_five_morphy_buffers,
+        )
+        serial = sweep(backend="serial", **grid)
+        lane_groups, singles = partition_batchable(serial.specs)
+        assert lane_groups == [] and singles == list(range(10))
+        for backend in (BatchBackend(), PoolBatchBackend(workers=2)):
+            run = sweep(backend=backend, **grid)
+            assert not lane_floors.built(), backend.name
+            for reference, candidate in zip(serial.results, run.results):
+                assert_results_equivalent(reference, candidate)
+
+    def test_group_exactly_at_its_floor_batches(self, lane_floors):
+        """Six REACT lanes batch at a floor of six and run scalar at seven,
+        under both batch-style backends."""
+        grid = dict(
+            workloads=("DE",),
+            trace_names=("RF Cart",),
+            settings=self.SHORT,
+            buffer_factory=react_hint_buffers,
+        )
+        serial = sweep(backend="serial", **grid)
+        for floor, lockstep_runs in ((6, 1), (7, 0)):
+            lane_floors(react=floor)
+            for backend in (BatchBackend(), PoolBatchBackend(workers=2)):
+                before = lane_floors.entered()["ReactBatchKernel"]
+                run = sweep(backend=backend, **grid)
+                after = lane_floors.entered()["ReactBatchKernel"]
+                assert after - before == lockstep_runs, (floor, backend.name)
+                for reference, candidate in zip(serial.results, run.results):
+                    assert_results_equivalent(reference, candidate)
+
+
 class TestPoolBatchBackend:
-    def test_full_quick_grid_matches_serial(self):
+    def test_full_quick_grid_matches_serial(self, lane_floors):
         """The acceptance gate: pool+batch == serial on the full quick grid.
 
-        Every workload × trace × buffer cell: the twelve static lanes per
-        trace run as lane shards, and the four Morphy and four REACT lanes
-        per trace, below ``min_lanes``, as one-cell shards.
+        Every workload × trace × buffer cell at a floor of five for every
+        kernel: the twelve static lanes per trace run as lane shards, and
+        the four Morphy and four REACT lanes per trace, below the floor, as
+        one-cell shards.
         """
+        lane_floors(5)
         serial = sweep(settings=QUICK, backend="serial")
         composed = sweep(settings=QUICK, backend=PoolBatchBackend(workers=4))
         assert len(serial) == len(composed) == 4 * 5 * 5
+        assert lane_floors.entered() == {"StaticBatchKernel": 5}  # one per trace
         assert serial.specs == composed.specs
         for reference, candidate in zip(serial.results, composed.results):
             assert_results_equivalent(reference, candidate)
 
-    def test_sharded_wide_sweep_matches_serial(self):
+    def test_sharded_wide_sweep_matches_serial(self, lane_floors):
         """Shard-splitting one trace's lanes across workers changes nothing."""
+        lane_floors(static=5)
         serial = sweep(
             workloads=("SC",),
             trace_names=("RF Cart",),
@@ -212,11 +290,13 @@ class TestPoolBatchBackend:
             buffer_factory=capacitance_ladder_buffers,
             backend=PoolBatchBackend(workers=2),
         )
+        assert lane_floors.entered() == {"StaticBatchKernel": 2}  # two shards
         for reference, candidate in zip(serial.results, composed.results):
             assert_results_equivalent(reference, candidate)
 
-    def test_sharded_morphy_sweep_matches_serial(self):
+    def test_sharded_morphy_sweep_matches_serial(self, lane_floors):
         """Morphy lanes shard across workers exactly like the statics."""
+        lane_floors(morphy=5)
         serial = sweep(
             workloads=("SC",),
             trace_names=("RF Cart",),
@@ -231,6 +311,7 @@ class TestPoolBatchBackend:
             buffer_factory=morphy_ladder_buffers,
             backend=PoolBatchBackend(workers=2),
         )
+        assert lane_floors.entered() == {"MorphyBatchKernel": 2}  # two shards
         for reference, candidate in zip(serial.results, composed.results):
             assert_results_equivalent(reference, candidate)
 
@@ -247,10 +328,12 @@ class TestPoolBatchBackend:
         )
         assert len(results) == 12
 
-    def test_one_pool_job_per_planned_shard(self, monkeypatch):
+    def test_one_pool_job_per_planned_shard(self, monkeypatch, lane_floors):
         """pool+batch submits exactly the shards of ``plan_shards``, each as
         one ``execute_spec_shard`` job, in spec order."""
         import repro.experiments.backends as backends_module
+
+        lane_floors(5)
 
         submitted = []
 
@@ -283,6 +366,7 @@ class TestPoolBatchBackend:
             ([specs[i] for i in shard],) for shard in shards
         ]
         assert [len(shard) for shard in shards].count(1) == 8  # Morphy, REACT
+        assert lane_floors.entered() == {"StaticBatchKernel": 2}  # two shards
         serial = SerialBackend().run_specs(specs)
         for reference, candidate in zip(serial, results):
             assert_results_equivalent(reference, candidate)

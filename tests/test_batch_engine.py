@@ -5,8 +5,10 @@ scalar engine's results exactly (``tests/oracle.py``), against both
 step-by-step execution and the scalar engine's default fast paths.  These
 tests pin that contract on the full quick-mode grid for every batched
 buffer (the statics and Dewdrop), exercise lane divergence and retirement,
-the scalar tail hand-off, the step limit, and the per-lane fallback for
-unbatchable buffers.
+each kernel's lane floor and the scalar tail hand-off it triggers, the step
+limit, and the per-lane fallback for unbatchable buffers.  Tests set the
+floors they need through the ``lane_floors`` fixture (``conftest.py``),
+which also reports the kernels a test reached.
 """
 
 import numpy as np
@@ -35,7 +37,12 @@ from repro.experiments.runner import (
 from repro.harvester.regulator import BoostRegulator, IdealRegulator, Regulator
 from repro.harvester.trace import PowerTrace
 from repro.platform.mcu import MSP430FR5994
-from repro.sim.batch import KERNEL_BUILDERS, BatchSimulator
+from repro.sim.batch import (
+    KERNEL_BUILDERS,
+    BatchSimulator,
+    _LockstepRun,
+    lane_floor,
+)
 from repro.sim.engine import Simulator
 from repro.sim.system import BatterylessSystem
 from repro.units import microfarads, milliamps, millifarads
@@ -134,8 +141,35 @@ class TestBatchability:
         buffer = CapybaraBuffer()
         assert not buffer.can_batch()
         assert buffer.batch_key() is None
-        for build in KERNEL_BUILDERS:
-            assert build([buffer]) is None
+        assert lane_floor(buffer) is None
+        for kernel_class in KERNEL_BUILDERS:
+            assert kernel_class.build([buffer]) is None
+
+    def test_every_kernel_declares_its_own_lane_floor(self):
+        """Each kernel's floor is its own measured crossover
+        (``benchmarks/crossover.py``), never one inherited from a shared
+        base, and :func:`lane_floor` maps each buffer family onto it."""
+        for kernel_class in KERNEL_BUILDERS:
+            assert "min_lanes" in vars(kernel_class), kernel_class.__name__
+            assert isinstance(kernel_class.min_lanes, int)
+            assert kernel_class.min_lanes >= 1
+        assert lane_floor(StaticBuffer(1e-3)) == StaticBatchKernel.min_lanes
+        assert lane_floor(DewdropBuffer(1e-3)) == StaticBatchKernel.min_lanes
+        assert lane_floor(MorphyBuffer()) == MorphyBatchKernel.min_lanes
+        assert lane_floor(ReactBuffer()) == ReactBatchKernel.min_lanes
+        unbatchable = ReactBuffer()
+        unbatchable.controller.record_history = True
+        assert lane_floor(unbatchable) is None
+
+    def test_benchmark_shapes_sit_on_their_side_of_the_floors(self):
+        """perfbench's static capacitance sweep (64 lanes per trace group)
+        stays a lockstep workload, its adaptive sweep (5 REACT and 5 Morphy
+        lanes) a scalar one, and the sweep benchmark's 128 static, 48 Morphy
+        and 80 REACT lanes per trace all batch."""
+        assert StaticBatchKernel.min_lanes <= 64
+        assert MorphyBatchKernel.min_lanes > 5 and ReactBatchKernel.min_lanes > 5
+        assert MorphyBatchKernel.min_lanes <= 48
+        assert ReactBatchKernel.min_lanes <= 80
 
     def test_morphy_batch_key_groups_by_topology(self):
         """Same topology batches together; unit capacitance may differ."""
@@ -221,8 +255,9 @@ class TestVectorizedPrimitives:
 
 
 class TestBatchSimulatorEquivalence:
-    def test_bitwise_equal_to_step_by_step_engine(self):
+    def test_bitwise_equal_to_step_by_step_engine(self, lane_floors):
         """Pure lockstep execution replays the scalar recurrence bit-for-bit."""
+        lane_floors(1)
         trace = QUICK.trace("RF Cart")
         lanes = [
             ("770 uF", microfarads(770.0), "DE"), ("10 mF", millifarads(10.0), "SC")
@@ -239,13 +274,14 @@ class TestBatchSimulatorEquivalence:
             for system in systems()
         ]
         batched = BatchSimulator(
-            systems(), scalar_tail_lanes=0, **simulator_kwargs()
+            systems(), **simulator_kwargs()
         ).run()
         for ref, got in zip(reference, batched):
             assert_results_equivalent(ref, got)
 
-    def test_lane_divergence_and_retirement(self):
+    def test_lane_divergence_and_retirement(self, lane_floors):
         """Lanes with wildly different lifetimes retire independently."""
+        lane_floors(1)
         trace = QUICK.trace("RF Obstruction")
         sizes = [
             ("tiny", microfarads(200.0)),
@@ -264,13 +300,13 @@ class TestBatchSimulatorEquivalence:
             Simulator(system, **simulator_kwargs()).run() for system in systems()
         ]
         batched = BatchSimulator(
-            systems(), scalar_tail_lanes=0, **simulator_kwargs()
+            systems(), **simulator_kwargs()
         ).run()
         assert reference[-1].latency is None  # the oversized lane never enables
         for ref, got in zip(reference, batched):
             assert_results_equivalent(ref, got)
 
-    def test_scalar_tail_handoff_changes_nothing(self):
+    def test_scalar_tail_handoff_changes_nothing(self, lane_floors):
         trace = QUICK.trace("RF Cart")
 
         def systems():
@@ -282,16 +318,58 @@ class TestBatchSimulatorEquivalence:
                 for buffer in static_and_dewdrop_buffers()
             ]
 
-        pure = BatchSimulator(
-            systems(), scalar_tail_lanes=0, **simulator_kwargs()
-        ).run()
-        with_tail = BatchSimulator(
-            systems(), scalar_tail_lanes=4, **simulator_kwargs()
-        ).run()
+        lane_floors(1)
+        pure = BatchSimulator(systems(), **simulator_kwargs()).run()
+        lane_floors(5)
+        with_tail = BatchSimulator(systems(), **simulator_kwargs()).run()
+        assert lane_floors.entered() == {"StaticBatchKernel": 2}
         for ref, got in zip(pure, with_tail):
             assert_results_equivalent(ref, got)
 
-    def test_fast_forward_false_threads_through_to_the_tail(self):
+    def test_tail_hands_off_once_live_lanes_drop_below_the_floor(
+        self, lane_floors, monkeypatch
+    ):
+        """The kernel's floor decides both ends of the lockstep run: a batch
+        narrower than the floor starts on the scalar engine, and a wider one
+        runs lockstep until retirement leaves fewer live lanes than the
+        floor, when the survivors finish on the scalar engine."""
+        trace = QUICK.trace("RF Cart")
+
+        def systems():
+            return [
+                build_system(trace, buffer, workload, "RF Cart")
+                for workload in ("DE", "SC")
+                for buffer in static_and_dewdrop_buffers()
+            ]
+
+        hand_offs = []  # (lockstep iterations run, live lanes) per hand-off
+        hand_off_all = _LockstepRun.hand_off_all
+
+        def recording_hand_off_all(run):
+            hand_offs.append((run.iterations, len(run.lanes.time)))
+            hand_off_all(run)
+
+        monkeypatch.setattr(_LockstepRun, "hand_off_all", recording_hand_off_all)
+        reference = [
+            Simulator(system, **simulator_kwargs()).run() for system in systems()
+        ]
+
+        lane_floors(static=6)
+        tail = BatchSimulator(systems(), **simulator_kwargs()).run()
+        assert lane_floors.entered() == {"StaticBatchKernel": 1}
+        [(iterations, live)] = hand_offs
+        assert iterations > 0 and 1 <= live < 6
+
+        hand_offs.clear()
+        lane_floors(static=9)  # one more than the eight lanes
+        narrow = BatchSimulator(systems(), **simulator_kwargs()).run()
+        assert hand_offs == [(0, 8)]
+        assert lane_floors.entered() == {"StaticBatchKernel": 1}  # unchanged
+        for ref, with_tail, scalar in zip(reference, tail, narrow):
+            assert_results_equivalent(ref, with_tail)
+            assert_results_equivalent(ref, scalar)
+
+    def test_fast_forward_false_threads_through_to_the_tail(self, lane_floors):
         """A step-by-step ablation is bit-exact end to end.
 
         The lockstep loop is always step-by-step arithmetic; with
@@ -299,6 +377,7 @@ class TestBatchSimulatorEquivalence:
         lane — including ledgers — must equal the step-by-step scalar
         engine bitwise even with the tail hand-off active.
         """
+        lane_floors(5)
         trace = QUICK.trace("RF Cart")
 
         def systems():
@@ -315,6 +394,7 @@ class TestBatchSimulatorEquivalence:
         batched = BatchSimulator(
             systems(), fast_forward=False, **simulator_kwargs()
         ).run()
+        assert lane_floors.entered() == {"StaticBatchKernel": 1}
         for ref, got in zip(reference, batched):
             assert_results_equivalent(ref, got)
 
@@ -331,13 +411,14 @@ class TestBatchSimulatorEquivalence:
         assert len(batched) == 1
         assert_results_equivalent(reference, batched[0])
 
-    def test_precharged_lanes_enable_on_the_first_step(self):
+    def test_precharged_lanes_enable_on_the_first_step(self, lane_floors):
         """A lane starting at the enable threshold matches scalar exactly.
 
         Exercises the zero-harvest enable-prediction path: with no power in
         the first trace sample, the voltage bound degenerates to the present
         voltage and the enabling step must still resolve at ``dt_on``.
         """
+        lane_floors(1)
         trace = PowerTrace(
             np.concatenate([np.zeros(5), np.full(10, 2e-3)]),
             sample_period=1.0,
@@ -359,14 +440,14 @@ class TestBatchSimulatorEquivalence:
             for system in systems()
         ]
         batched = BatchSimulator(
-            systems(), dt_on=0.02, dt_off=0.1, max_drain_time=20.0,
-            scalar_tail_lanes=0,
+            systems(), dt_on=0.02, dt_off=0.1, max_drain_time=20.0
         ).run()
         assert reference[0].latency == pytest.approx(0.02)
         for ref, got in zip(reference, batched):
             assert_results_equivalent(ref, got)
 
-    def test_boost_regulator_lanes_match_scalar(self):
+    def test_boost_regulator_lanes_match_scalar(self, lane_floors):
+        lane_floors(1)
         trace = QUICK.trace("RF Mobile")
 
         def systems():
@@ -385,18 +466,19 @@ class TestBatchSimulatorEquivalence:
             Simulator(system, **simulator_kwargs()).run() for system in systems()
         ]
         batched = BatchSimulator(
-            systems(), scalar_tail_lanes=0, **simulator_kwargs()
+            systems(), **simulator_kwargs()
         ).run()
         for ref, got in zip(reference, batched):
             assert_results_equivalent(ref, got)
 
-    def test_raw_energy_counted_even_when_nothing_is_delivered(self):
+    def test_raw_energy_counted_even_when_nothing_is_delivered(self, lane_floors):
         """The frontend's raw ledger must not depend on delivered power.
 
         A boost regulator delivers nothing below its quiescent power, but
         the raw harvested energy still exists and the scalar frontend
         counts it; batched lanes must agree exactly.
         """
+        lane_floors(1)
         quiescent = BoostRegulator().quiescent_power
         trace = PowerTrace(
             np.full(30, quiescent * 0.5), sample_period=1.0, name="sub-quiescent"
@@ -422,15 +504,14 @@ class TestBatchSimulatorEquivalence:
             ).run()
         batch_systems = systems()
         BatchSimulator(
-            batch_systems, dt_on=0.02, dt_off=0.1, max_drain_time=5.0,
-            scalar_tail_lanes=0,
+            batch_systems, dt_on=0.02, dt_off=0.1, max_drain_time=5.0
         ).run()
         for ref, got in zip(scalar_systems, batch_systems):
             assert ref.frontend.raw_energy_offered > 0.0
             assert got.frontend.raw_energy_offered == ref.frontend.raw_energy_offered
             assert got.frontend.energy_delivered == ref.frontend.energy_delivered
 
-    def test_mid_segment_retirement_mixed_lanes_bit_exact(self):
+    def test_mid_segment_retirement_mixed_lanes_bit_exact(self, lane_floors):
         """Lanes leaving mid-segment don't disturb fast-forwarding peers.
 
         A mixed batch — quiescent lanes deep inside skippable hint windows
@@ -441,6 +522,7 @@ class TestBatchSimulatorEquivalence:
         skip windows are still pending.  Everything must stay bit-exact
         against the step-by-step scalar engine, ledgers included.
         """
+        lane_floors(1)
         trace = QUICK.trace("RF Obstruction")
         lanes = [
             ("tiny", microfarads(200.0), "SC"),
@@ -463,7 +545,7 @@ class TestBatchSimulatorEquivalence:
             for system in systems()
         ]
         batched = BatchSimulator(
-            systems(), scalar_tail_lanes=0, **simulator_kwargs()
+            systems(), **simulator_kwargs()
         ).run()
         # The mix actually diverges: brownouts on the small lanes, none of
         # the oversized lane ever starting.
@@ -474,7 +556,7 @@ class TestBatchSimulatorEquivalence:
         for ref, got in zip(reference, batched):
             assert_results_equivalent(ref, got)
 
-    def test_retirement_inside_skipped_segment_with_and_without_ff(self):
+    def test_retirement_inside_skipped_segment_with_and_without_ff(self, lane_floors):
         """Fast-forwarding must not shift when a lane retires.
 
         The same mixed batch with fast-forwarding disabled pins the
@@ -482,6 +564,7 @@ class TestBatchSimulatorEquivalence:
         reproduce it lane for lane — a lane's drain termination or hard
         stop may not slip past a segment its neighbours skipped.
         """
+        lane_floors(1)
         trace = QUICK.trace("Solar Campus")
         sizes = [microfarads(330.0), microfarads(770.0), millifarads(10.0)]
 
@@ -495,11 +578,10 @@ class TestBatchSimulatorEquivalence:
             ]
 
         stepped = BatchSimulator(
-            systems(), fast_forward=False, scalar_tail_lanes=0,
-            **simulator_kwargs(),
+            systems(), fast_forward=False, **simulator_kwargs()
         ).run()
         fast = BatchSimulator(
-            systems(), scalar_tail_lanes=0, **simulator_kwargs()
+            systems(), **simulator_kwargs()
         ).run()
         for ref, got in zip(stepped, fast):
             assert_results_equivalent(ref, got)
@@ -522,20 +604,22 @@ class TestMorphyBatchEquivalence:
             for buffer in morphy_variant_buffers()
         ]
 
-    def test_bitwise_equal_to_step_by_step_engine(self):
+    def test_bitwise_equal_to_step_by_step_engine(self, lane_floors):
+        lane_floors(1)
         trace = QUICK.trace("RF Cart")
         reference = [
             Simulator(system, fast_forward=False, **simulator_kwargs()).run()
             for system in self.systems(trace)
         ]
         batched = BatchSimulator(
-            self.systems(trace), scalar_tail_lanes=0, **simulator_kwargs()
+            self.systems(trace), **simulator_kwargs()
         ).run()
         for ref, got in zip(reference, batched):
             assert_results_equivalent(ref, got)
 
-    def test_reconfiguration_heavy_lanes_match_bitwise(self):
+    def test_reconfiguration_heavy_lanes_match_bitwise(self, lane_floors):
         """Solar lanes drive the 10 Hz controller through many level changes."""
+        lane_floors(1)
         trace = QUICK.trace("Solar Campus")
         reference = [
             Simulator(system, fast_forward=False, **simulator_kwargs()).run()
@@ -543,21 +627,21 @@ class TestMorphyBatchEquivalence:
         ]
         batched = BatchSimulator(
             self.systems(trace, workloads=("SC", "RT")),
-            scalar_tail_lanes=0,
             **simulator_kwargs(),
         ).run()
         for ref, got in zip(reference, batched):
             assert_results_equivalent(ref, got)
 
-    def test_reconfiguration_counts_write_back(self):
+    def test_reconfiguration_counts_write_back(self, lane_floors):
         """The kernel's per-lane reconfiguration tally lands on the buffers."""
+        lane_floors(1)
         trace = QUICK.trace("Solar Campus")
         scalar_systems = self.systems(trace, workloads=("SC",))
         for system in scalar_systems:
             Simulator(system, fast_forward=False, **simulator_kwargs()).run()
         batch_systems = self.systems(trace, workloads=("SC",))
         BatchSimulator(
-            batch_systems, scalar_tail_lanes=0, **simulator_kwargs()
+            batch_systems, **simulator_kwargs()
         ).run()
         assert any(s.buffer.reconfiguration_count > 0 for s in scalar_systems)
         for ref, got in zip(scalar_systems, batch_systems):
@@ -566,14 +650,13 @@ class TestMorphyBatchEquivalence:
             assert got.buffer._voltages == ref.buffer._voltages
             assert got.buffer._next_poll_time == ref.buffer._next_poll_time
 
-    def test_scalar_tail_handoff_changes_nothing(self):
+    def test_scalar_tail_handoff_changes_nothing(self, lane_floors):
         trace = QUICK.trace("RF Cart")
-        pure = BatchSimulator(
-            self.systems(trace), scalar_tail_lanes=0, **simulator_kwargs()
-        ).run()
-        with_tail = BatchSimulator(
-            self.systems(trace), scalar_tail_lanes=3, **simulator_kwargs()
-        ).run()
+        lane_floors(1)
+        pure = BatchSimulator(self.systems(trace), **simulator_kwargs()).run()
+        lane_floors(4)
+        with_tail = BatchSimulator(self.systems(trace), **simulator_kwargs()).run()
+        assert sum(lane_floors.entered().values()) == 2
         for ref, got in zip(pure, with_tail):
             assert_results_equivalent(ref, got)
 
@@ -595,33 +678,36 @@ class TestReactBatchEquivalence:
             for buffer in react_variant_buffers()
         ]
 
-    def test_bitwise_equal_to_step_by_step_engine(self):
+    def test_bitwise_equal_to_step_by_step_engine(self, lane_floors):
+        lane_floors(1)
         trace = QUICK.trace("RF Cart")
         reference = [
             Simulator(system, fast_forward=False, **simulator_kwargs()).run()
             for system in self.systems(trace)
         ]
         batched = BatchSimulator(
-            self.systems(trace), scalar_tail_lanes=0, fast_forward=False,
+            self.systems(trace), fast_forward=False,
             **simulator_kwargs(),
         ).run()
         for ref, got in zip(reference, batched):
             assert_results_equivalent(ref, got)
 
-    def test_fast_forward_matches_scalar_fast_path(self):
+    def test_fast_forward_matches_scalar_fast_path(self, lane_floors):
+        lane_floors(1)
         trace = QUICK.trace("RF Cart")
         reference = [
             Simulator(system, **simulator_kwargs()).run()
             for system in self.systems(trace)
         ]
         batched = BatchSimulator(
-            self.systems(trace), scalar_tail_lanes=0, **simulator_kwargs()
+            self.systems(trace), **simulator_kwargs()
         ).run()
         for ref, got in zip(reference, batched):
             assert_results_equivalent(ref, got)
 
-    def test_reconfiguration_heavy_lanes_match_bitwise(self):
+    def test_reconfiguration_heavy_lanes_match_bitwise(self, lane_floors):
         """Solar lanes drive the 10 Hz controller through many bank steps."""
+        lane_floors(1)
         trace = QUICK.trace("Solar Campus")
         reference = [
             Simulator(system, fast_forward=False, **simulator_kwargs()).run()
@@ -629,24 +715,24 @@ class TestReactBatchEquivalence:
         ]
         batched = BatchSimulator(
             self.systems(trace, workloads=("SC", "RT")),
-            scalar_tail_lanes=0,
             fast_forward=False,
             **simulator_kwargs(),
         ).run()
         for ref, got in zip(reference, batched):
             assert_results_equivalent(ref, got)
 
-    def test_controller_and_fabric_state_write_back(self):
+    def test_controller_and_fabric_state_write_back(self, lane_floors):
         """Finalized lanes land every counter on the live objects exactly:
         controller tallies, bank states and cell voltages, switch-pole
         actuation counts and energies, and the hardware loss counters."""
+        lane_floors(1)
         trace = QUICK.trace("Solar Campus")
         scalar_systems = self.systems(trace, workloads=("SC",))
         for system in scalar_systems:
             Simulator(system, fast_forward=False, **simulator_kwargs()).run()
         batch_systems = self.systems(trace, workloads=("SC",))
         BatchSimulator(
-            batch_systems, scalar_tail_lanes=0, fast_forward=False,
+            batch_systems, fast_forward=False,
             **simulator_kwargs(),
         ).run()
         assert any(
@@ -699,14 +785,13 @@ class TestReactBatchEquivalence:
                     assert got_pole.actuation_count == ref_pole.actuation_count
                     assert got_pole.energy_spent == ref_pole.energy_spent
 
-    def test_scalar_tail_handoff_changes_nothing(self):
+    def test_scalar_tail_handoff_changes_nothing(self, lane_floors):
         trace = QUICK.trace("RF Cart")
-        pure = BatchSimulator(
-            self.systems(trace), scalar_tail_lanes=0, **simulator_kwargs()
-        ).run()
-        with_tail = BatchSimulator(
-            self.systems(trace), scalar_tail_lanes=3, **simulator_kwargs()
-        ).run()
+        lane_floors(1)
+        pure = BatchSimulator(self.systems(trace), **simulator_kwargs()).run()
+        lane_floors(4)
+        with_tail = BatchSimulator(self.systems(trace), **simulator_kwargs()).run()
+        assert sum(lane_floors.entered().values()) == 2
         for ref, got in zip(pure, with_tail):
             assert_results_equivalent(ref, got)
 
@@ -764,23 +849,17 @@ class TestBatchSimulatorValidation:
         with pytest.raises(SimulationError):
             BatchSimulator([system], max_drain_time=-1.0)
 
-    @pytest.mark.parametrize(
-        "scalar_tail_lanes", [0, 2], ids=["lockstep", "scalar-tail"]
-    )
-    def test_max_steps_guard(self, scalar_tail_lanes):
+    @pytest.mark.parametrize("floor", [1, 3], ids=["lockstep", "scalar-tail"])
+    def test_max_steps_guard(self, floor, lane_floors):
         """The step limit holds in the lockstep loop and, for a batch narrow
         enough to hand off, in the scalar tail."""
+        lane_floors(floor)
         trace = QUICK.trace("RF Cart")
         systems = [
             build_system(trace, StaticBuffer(millifarads(10.0)), workload, "RF Cart")
             for workload in ("DE", "SC")
         ]
-        simulator = BatchSimulator(
-            systems,
-            scalar_tail_lanes=scalar_tail_lanes,
-            max_steps=10,
-            **simulator_kwargs(),
-        )
+        simulator = BatchSimulator(systems, max_steps=10, **simulator_kwargs())
         with pytest.raises(SimulationError, match="exceeded"):
             simulator.run()
 
@@ -809,7 +888,9 @@ class TestBatchSimulatorValidation:
 class TestFullGridEquivalence:
     """The acceptance gate: batched == scalar on the full quick-mode grid."""
 
-    def test_full_quick_grid_static_and_dewdrop(self):
+    def test_full_quick_grid_static_and_dewdrop(self, lane_floors):
+        """Sixteen static-kernel lanes per trace, exactly at their floor."""
+        lane_floors(static=16)
         serial = ExperimentRunner(
             QUICK, buffer_factory=static_and_dewdrop_buffers
         ).run_grid()
@@ -817,15 +898,18 @@ class TestFullGridEquivalence:
             QUICK, buffer_factory=static_and_dewdrop_buffers, backend=BatchBackend()
         ).run_grid()
         assert len(serial) == len(batched) == 4 * 5 * 4  # workloads×traces×buffers
+        assert lane_floors.entered() == {"StaticBatchKernel": 5}  # one per trace
         for ref, got in zip(serial, batched):
             assert_results_equivalent(ref, got)
 
-    def test_full_quick_grid_morphy(self):
+    def test_full_quick_grid_morphy(self, lane_floors):
         """The Morphy acceptance gate: batched == scalar on the full quick grid.
 
         Every workload × trace cell with two Morphy lanes each, so each
-        trace group packs eight Morphy lanes into one lockstep kernel.
+        trace group packs eight Morphy lanes, exactly at their floor, into
+        one lockstep kernel.
         """
+        lane_floors(morphy=8)
         serial = ExperimentRunner(
             QUICK, buffer_factory=morphy_variant_buffers
         ).run_grid()
@@ -833,15 +917,18 @@ class TestFullGridEquivalence:
             QUICK, buffer_factory=morphy_variant_buffers, backend=BatchBackend()
         ).run_grid()
         assert len(serial) == len(batched) == 4 * 5 * 2  # workloads×traces×buffers
+        assert lane_floors.entered() == {"MorphyBatchKernel": 5}  # one per trace
         for ref, got in zip(serial, batched):
             assert_results_equivalent(ref, got)
 
-    def test_full_quick_grid_react(self):
+    def test_full_quick_grid_react(self, lane_floors):
         """The REACT acceptance gate: batched == scalar on the full quick grid.
 
         Every workload × trace cell with two config-sharing REACT lanes, so
-        each trace group packs eight REACT lanes into one lockstep kernel.
+        each trace group packs eight REACT lanes, exactly at their floor,
+        into one lockstep kernel.
         """
+        lane_floors(react=8)
         serial = ExperimentRunner(
             QUICK, buffer_factory=react_variant_buffers
         ).run_grid()
@@ -849,11 +936,14 @@ class TestFullGridEquivalence:
             QUICK, buffer_factory=react_variant_buffers, backend=BatchBackend()
         ).run_grid()
         assert len(serial) == len(batched) == 4 * 5 * 2  # workloads×traces×buffers
+        assert lane_floors.entered() == {"ReactBatchKernel": 5}  # one per trace
         for ref, got in zip(serial, batched):
             assert_results_equivalent(ref, got)
 
-    def test_mixed_kernel_grid_batches_every_family(self):
-        """Static, Morphy and REACT lanes of one trace batch in separate kernels."""
+    def test_mixed_kernel_grid_batches_every_family(self, lane_floors):
+        """Static, Morphy and REACT lanes of one trace batch in separate
+        kernels (sixteen static, eight Morphy and eight REACT lanes)."""
+        lane_floors(8)
         serial = ExperimentRunner(
             QUICK, buffer_factory=mixed_kernel_buffers
         ).run_grid(trace_names=("RF Cart",))
@@ -861,6 +951,11 @@ class TestFullGridEquivalence:
             QUICK, buffer_factory=mixed_kernel_buffers, backend=BatchBackend()
         ).run_grid(trace_names=("RF Cart",))
         assert len(serial) == len(batched) == 4 * 8
+        assert lane_floors.entered() == {
+            "StaticBatchKernel": 1,
+            "MorphyBatchKernel": 1,
+            "ReactBatchKernel": 1,
+        }
         for ref, got in zip(serial, batched):
             assert_results_equivalent(ref, got)
 
@@ -880,13 +975,16 @@ class TestFullGridEquivalence:
         for ref, got in zip(serial, batched):
             assert_results_equivalent(ref, got)
 
-    def test_min_lanes_routes_everything_scalar(self):
+    def test_min_lanes_routes_everything_scalar(self, lane_floors):
+        """Groups below their kernels' floors never build a kernel."""
+        lane_floors(100)
         serial = ExperimentRunner(QUICK).run_grid(
             workloads=("DE",), trace_names=("RF Cart",)
         )
-        batched = ExperimentRunner(
-            QUICK, backend=BatchBackend(min_lanes=100)
-        ).run_grid(workloads=("DE",), trace_names=("RF Cart",))
+        batched = ExperimentRunner(QUICK, backend=BatchBackend()).run_grid(
+            workloads=("DE",), trace_names=("RF Cart",)
+        )
+        assert not lane_floors.built()
         for ref, got in zip(serial, batched):
             assert_results_equivalent(ref, got)
 

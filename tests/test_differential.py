@@ -181,7 +181,7 @@ def build_batch_case(case_seed: int):
 
 
 @pytest.mark.parametrize("case_seed", range(10))
-def test_batch_lane_mix_matches_step_by_step_oracle(case_seed):
+def test_batch_lane_mix_matches_step_by_step_oracle(case_seed, lane_floors):
     """The batch engine under the same differential discipline.
 
     Every randomized lane of a trace-sharing batch — including lanes that
@@ -189,12 +189,13 @@ def test_batch_lane_mix_matches_step_by_step_oracle(case_seed):
     or retire — must agree with the step-by-step scalar oracle on the
     exact counters and ledgers.
     """
+    lane_floors(1)
     systems, kwargs = build_batch_case(case_seed)
     reference = [
         Simulator(system, fast_forward=False, **kwargs).run()
         for system in systems()
     ]
-    batched = BatchSimulator(systems(), scalar_tail_lanes=0, **kwargs).run()
+    batched = BatchSimulator(systems(), **kwargs).run()
     for lane, (oracle, fast) in enumerate(zip(reference, batched)):
         context = (
             f"case_seed={case_seed} lane={lane} "
@@ -245,7 +246,7 @@ def build_mixed_grid_case(case_seed: int):
 
 
 @pytest.mark.parametrize("case_seed", range(4))
-def test_mixed_react_static_grid_matches_step_by_step_oracle(case_seed):
+def test_mixed_react_static_grid_matches_step_by_step_oracle(case_seed, lane_floors):
     """REACT and static-family lanes of one grid, each batched per family.
 
     Interleaved REACT and static/Dewdrop lanes are partitioned by
@@ -253,6 +254,7 @@ def test_mixed_react_static_grid_matches_step_by_step_oracle(case_seed):
     kernels; every lane must agree with the step-by-step scalar oracle on
     the exact counters and ledgers.
     """
+    lane_floors(1)
     systems, kwargs = build_mixed_grid_case(case_seed)
     reference = [
         Simulator(system, fast_forward=False, **kwargs).run()
@@ -266,7 +268,7 @@ def test_mixed_react_static_grid_matches_step_by_step_oracle(case_seed):
     batched = [None] * len(lanes)
     for indices in groups.values():
         results = BatchSimulator(
-            [lanes[i] for i in indices], scalar_tail_lanes=0, **kwargs
+            [lanes[i] for i in indices], **kwargs
         ).run()
         for index, result in zip(indices, results):
             batched[index] = result

@@ -308,23 +308,25 @@ class TestBatchHintMasks:
             for buffer in fresh_buffers()
         ]
 
-    def test_longevity_heavy_lanes_match_scalar(self):
+    def test_longevity_heavy_lanes_match_scalar(self, lane_floors):
         """RT/PF lanes exercise the Dewdrop wake-voltage mask; DE/SC the
         expiry mask.  Exact counters and exact-order ledgers against pure
         step-by-step scalar execution."""
+        lane_floors(1)
         trace = QUICK.trace("RF Cart")
         reference = [
             Simulator(system, fast_forward=False, **simulator_kwargs()).run()
             for system in self.lanes(trace, "RF Cart")
         ]
         batched = BatchSimulator(
-            self.lanes(trace, "RF Cart"), scalar_tail_lanes=0, **simulator_kwargs()
+            self.lanes(trace, "RF Cart"), **simulator_kwargs()
         ).run()
         for ref, got in zip(reference, batched):
             assert_results_equivalent(ref, got)
 
-    def test_fast_forward_false_disables_the_hint_masks(self):
+    def test_fast_forward_false_disables_the_hint_masks(self, lane_floors):
         """The step-by-step ablation must not consult hints at all."""
+        lane_floors(1)
         trace = QUICK.trace("RF Cart")
         systems = self.lanes(trace, "RF Cart")
         hint_calls = 0
@@ -338,17 +340,18 @@ class TestBatchHintMasks:
 
             system.workload.quiescent_until = counting
         BatchSimulator(
-            systems, scalar_tail_lanes=0, fast_forward=False, **simulator_kwargs()
+            systems, fast_forward=False, **simulator_kwargs()
         ).run()
         assert hint_calls == 0
 
-    def test_hint_expiry_is_exclusive_on_the_timer_grid(self):
+    def test_hint_expiry_is_exclusive_on_the_timer_grid(self, lane_floors):
         """A step ending exactly at RT's data-period expiry must run
         normally: ``_accumulate_data`` fires on an inclusive comparison,
         so skipping that step would land the reading one step late.
         Regression test for the batch mask treating the expiry as
         inclusive (dt_on = 0.5 makes step ends hit the 2.5 s grid
         exactly)."""
+        lane_floors(1)
         import numpy as np
 
         from repro.harvester.trace import PowerTrace
@@ -371,7 +374,7 @@ class TestBatchHintMasks:
             Simulator(system, fast_forward=False, **kwargs).run()
             for system in systems()
         ]
-        batched = BatchSimulator(systems(), scalar_tail_lanes=0, **kwargs).run()
+        batched = BatchSimulator(systems(), **kwargs).run()
         for ref, got in zip(reference, batched):
             assert_results_equivalent(ref, got)
 

@@ -8,8 +8,8 @@ Four contracts are pinned here:
 * **Shard planning** — the coordinator executes
   :func:`~repro.experiments.backends.plan_shards`, the plan ``pool+batch``
   runs too: every spec lands in exactly one shard, lane shards never go
-  below ``min_lanes``, every other cell is a one-cell shard, and shards
-  come back in spec order.
+  below their kernel's lane floor, every other cell is a one-cell shard,
+  and shards come back in spec order.
 * **Bit-equality** — the full quick grid through ``remote:serial`` with
   local worker processes returns the serial backend's results in serial
   order, exactly (``tests/oracle.py``) — including with a worker SIGKILLed
@@ -37,6 +37,7 @@ import pytest
 from oracle import assert_results_equivalent
 
 from repro.buffers.capybara import CapybaraBuffer
+from repro.buffers.morphy import MorphyBuffer
 from repro.buffers.static import StaticBuffer
 from repro.exceptions import ConfigurationError, SweepTransportError
 from repro.experiments import sweep
@@ -68,6 +69,15 @@ def static_ladder_buffers():
     return [
         StaticBuffer(millifarads(0.5 * (index + 1)), name=f"{0.5 * (index + 1):.1f} mF")
         for index in range(6)
+    ]
+
+
+def static_and_morphy_ladder_buffers():
+    """Three static and four Morphy lanes (in-process tests only): two
+    kernels, so two lane floors, in one trace group."""
+    return static_ladder_buffers()[:3] + [
+        MorphyBuffer(unit_capacitance=millifarads(0.5 * (index + 1)))
+        for index in range(4)
     ]
 
 
@@ -180,36 +190,40 @@ class TestShardPlanning:
             group_keys = {specs[i].group_key for i in shard}
             assert len(group_keys) == 1  # one trace (and kernel) per shard
 
-    def test_wide_lane_group_splits_but_not_below_min_lanes(self):
+    def test_wide_lane_group_splits_but_not_below_min_lanes(self, lane_floors):
         specs = ExperimentRunner(
             QUICK, buffer_factory=static_ladder_buffers
         ).grid_specs(workloads=("SC",), trace_names=("RF Cart",))
-        shards = plan_shards(specs, workers=3, min_lanes=3)
+        lane_floors(static=3)
+        shards = plan_shards(specs, workers=3)
         assert len(shards) == 2  # six lanes split in two, floor of three
         assert all(len(shard) >= 3 for shard in shards)
-        assert plan_shards(specs, workers=3, min_lanes=6) == plan_shards(
-            specs, workers=1, min_lanes=6
+        lane_floors(static=6)
+        assert plan_shards(specs, workers=3) == plan_shards(
+            specs, workers=1
         )  # too narrow to split, whatever the worker count
 
-    def test_groups_below_min_lanes_become_one_cell_shards(self):
+    def test_groups_below_min_lanes_become_one_cell_shards(self, lane_floors):
         """The paper grid's Morphy group of four sits below a floor of five,
         so each of its cells is a shard of its own, not one narrow shard."""
+        lane_floors(5)
         specs = ExperimentRunner(QUICK).grid_specs(
             workloads=("DE", "SC", "RT", "PF"), trace_names=("RF Cart",)
         )
         morphy = [i for i, spec in enumerate(specs) if spec.buffer_index == 3]
         assert len(morphy) == 4
-        shards = plan_shards(specs, workers=2, min_lanes=5)
+        shards = plan_shards(specs, workers=2)
         assert [shard for shard in shards if shard[0] in morphy] == [
             (index,) for index in morphy
         ]
 
-    def test_shard_count_tracks_worker_count(self):
+    def test_shard_count_tracks_worker_count(self, lane_floors):
+        lane_floors(static=2)
         specs = ExperimentRunner(
             QUICK, buffer_factory=static_ladder_buffers
         ).grid_specs(workloads=("SC",), trace_names=("RF Cart",))
-        assert len(plan_shards(specs, workers=4, min_lanes=2)) > len(
-            plan_shards(specs, workers=1, min_lanes=2)
+        assert len(plan_shards(specs, workers=4)) > len(
+            plan_shards(specs, workers=1)
         )
 
 
@@ -218,9 +232,9 @@ class TestShardRetuning:
 
     ``plan_shards`` sizes shards from lane counts alone; these tests drive
     ``_Coordinator._observe_shard_cost`` directly — no sockets — and pin
-    the retune invariants: splits respect ``min_lanes``, dispatched shards
-    keep their identity, bookkeeping stays consistent, and the knob can be
-    disabled.  The static ladder over two workloads is one 12-lane group;
+    the retune invariants: splits respect each kernel's lane floor,
+    dispatched shards keep their identity, bookkeeping stays consistent,
+    and the knob can be disabled.  The static ladder over two workloads is one 12-lane group;
     two workers cut it into two 6-lane shards.
     """
 
@@ -248,8 +262,9 @@ class TestShardRetuning:
             assert run.shard_by_id[shard.shard_id] is shard
         assert run.report.shards_total == len(run.shards)
 
-    def test_observed_heavy_cells_split_pending_shards(self):
-        run = self.coordinator(static_ladder_buffers, workers=2, min_lanes=3)
+    def test_observed_heavy_cells_split_pending_shards(self, lane_floors):
+        lane_floors(static=3)
+        run = self.coordinator(static_ladder_buffers, workers=2)
         assert [len(shard.indices) for shard in run.pending] == [6, 6]
         first = run.pending.popleft()
         first.attempts = 1  # in flight on a worker
@@ -268,18 +283,37 @@ class TestShardRetuning:
         assert [shard.shard_id for shard in run.pending] == before
         assert run.report.shard_splits == 0
 
-    def test_lane_groups_never_split_below_min_lanes(self):
+    def test_lane_groups_never_split_below_min_lanes(self, lane_floors):
         # Six static lanes in one shard with a floor of five: even at
         # 20 s/cell the retune cannot carve off a sub-floor piece.
-        run = self.coordinator(static_ladder_buffers, workers=2, min_lanes=5)
+        lane_floors(static=5)
+        run = self.coordinator(static_ladder_buffers, workers=2)
         wide = run.pending[0]
         assert len(wide.indices) == 6
         run._observe_shard_cost(wide, wall_seconds=20.0 * len(wide.indices))
         assert all(len(shard.indices) >= 5 for shard in run.pending)
         assert run.report.shard_splits == 0
 
-    def test_requeued_shards_keep_their_identity(self):
-        run = self.coordinator(static_ladder_buffers, workers=2, min_lanes=3)
+    def test_each_shard_splits_down_to_its_own_kernels_floor(self, lane_floors):
+        """A static shard (floor three) and a Morphy shard (floor four) of
+        one grid each split only as far as their own kernel's floor."""
+        lane_floors(static=3, morphy=4)
+        run = self.coordinator(static_and_morphy_ladder_buffers)
+        static = {0, 1, 2, 7, 8, 9}  # the DE and SC static cells
+        assert [len(shard.indices) for shard in run.pending] == [6, 8]
+        assert [shard.floor for shard in run.pending] == [3, 4]
+        run._observe_shard_cost(run.pending[0], wall_seconds=1e6)
+        pieces = {shard.indices: shard.floor for shard in run.pending}
+        assert run.report.shard_splits == 2
+        for indices, floor in pieces.items():
+            assert floor == (3 if set(indices) <= static else 4)
+            assert len(indices) >= floor
+        assert sorted(len(indices) for indices in pieces) == [3, 3, 4, 4]
+        self.assert_consistent(run)
+
+    def test_requeued_shards_keep_their_identity(self, lane_floors):
+        lane_floors(static=3)
+        run = self.coordinator(static_ladder_buffers, workers=2)
         requeued = run.pending[0]
         requeued.attempts = 1  # already dispatched once, then requeued
         run._observe_shard_cost(run.pending[1], wall_seconds=120.0)
@@ -351,21 +385,20 @@ class TestRemoteEquivalence:
             assert_results_equivalent(reference, candidate)
         assert seen == [result.buffer_name for result in serial_full_grid.results]
 
-    def test_mid_sweep_retune_splits_shards_and_matches_serial(self):
+    def test_mid_sweep_retune_splits_shards_and_matches_serial(self, lane_floors):
         """A sub-second shard target forces observed-cost re-splitting on
         the first completion; the re-sharded drain must stay bit-identical
         to serial and the report must record the splits."""
+        lane_floors(1)
         specs = ExperimentRunner(QUICK).grid_specs(
             workloads=("DE", "SC"), trace_names=("RF Cart",)
         )
         serial = SerialBackend().run_specs(specs)
-        backend = RemoteBackend(
-            inner="serial", workers=2, min_lanes=1, shard_target_seconds=1e-6
-        )
+        backend = RemoteBackend(inner="serial", workers=2, shard_target_seconds=1e-6)
         remote = backend.run_specs(specs)
         report = backend.last_run_report
         assert report.shard_splits > 0
-        assert report.shards_total > len(plan_shards(specs, workers=2, min_lanes=1))
+        assert report.shards_total > len(plan_shards(specs, workers=2))
         assert len(remote) == len(serial)
         for reference, candidate in zip(serial, remote):
             assert_results_equivalent(reference, candidate)
