@@ -52,13 +52,35 @@ class BufferLedger:
 
 
 class LockstepKernel:
-    """Shared fast-forward machinery for batch lockstep kernels.
+    """Shared contract and segment replay of the batch lockstep kernels.
 
     A lockstep kernel (:class:`~repro.buffers.static.StaticBatchKernel`,
-    :class:`~repro.buffers.morphy_batch.MorphyBatchKernel`) advances many
-    lanes per step through vectorized ``harvest`` / ``draw`` /
-    ``housekeeping`` hooks that mirror the scalar buffer arithmetic bit for
-    bit.  This base class adds the vectorized counterparts of the scalar
+    :class:`~repro.buffers.morphy_batch.MorphyBatchKernel`,
+    :class:`~repro.buffers.react_batch.ReactBatchKernel`) advances many
+    lanes of one buffer family per step through shared numpy arrays,
+    mirroring the scalar :class:`EnergyBuffer` arithmetic bit for bit.
+    :class:`~repro.sim.batch.BatchSimulator` drives every kernel through
+    the same protocol, the way :class:`~repro.sim.engine.Simulator` drives
+    every buffer:
+
+    * ``build(buffers)`` (classmethod) — a kernel over ``buffers``, or None
+      when some lane does not fit; ``buffer_type`` is the hosted buffer
+      class and ``min_lanes`` the narrowest lane group worth batching.
+    * ``voltage`` — per-lane output voltage;
+      ``post_harvest_voltage_bound(energy)`` — its vectorized bound.
+    * ``harvest(energy)``, ``draw(current, dt)`` and
+      ``housekeeping(time, dt, system_on)`` — one step of the scalar
+      hooks; ``system_on`` is the per-lane power-gate mask (or one bool
+      for a whole replay phase).
+    * :meth:`overhead_current` — the buffer's own load current, added
+      last to the platform load, as the scalar engine does.
+    * ``drained_mask(enable_voltage)`` — lanes that can no longer restart.
+    * ``compact(keep)`` — drop retired lanes from the shared arrays.
+    * ``sync_lanes(indices)`` — refresh those lanes' buffer objects so
+      Python code (workloads) can read them; ``finalize_lane(index)``
+      writes the lane's full state back and returns its buffer.
+
+    This base class adds the vectorized counterparts of the scalar
     :meth:`EnergyBuffer.fast_forward` / :meth:`~EnergyBuffer.fast_forward_on`
     entry points: given a :class:`~repro.sim.segments.LaneSegmentPlan`, each
     lane replays up to its per-lane step budget of whole-segment steps
@@ -77,16 +99,7 @@ class LockstepKernel:
     and conservative otherwise (Morphy inherits the upper *bound*, so its
     lanes may stop a step early and resume under normal stepping — never
     skipping past a transition).
-
-    Subclasses must provide the kernel protocol this class drives:
-    ``voltage``, ``post_harvest_voltage_bound``, ``harvest``, ``draw``,
-    ``housekeeping`` and ``drained_mask``.
     """
-
-    #: Whether the batch engine may fast-forward whole segments through
-    #: this kernel.  True for any kernel whose hooks treat zero-energy /
-    #: zero-``dt`` inputs as exact no-ops (required for the lane masking).
-    supports_fast_forward = True
 
     #: Replay economics hint for the batch engine: when True, only plans
     #: covering *every* lane are worth executing through this kernel.  The
@@ -103,6 +116,16 @@ class LockstepKernel:
     #: at ``-inf``, so a frozen lane's controller never runs.
     _NEVER = float("-inf")
 
+    def overhead_current(self, system_on):
+        """Per-lane buffer overhead current (amperes); none by default.
+
+        Mirrors :meth:`EnergyBuffer.overhead_current`: ``system_on`` is
+        the engine's per-lane enabled mask, or one bool during a replay
+        phase.  Kernels whose buffers override the scalar hook override
+        this too (REACT's tracks live buffer state).
+        """
+        return 0.0
+
     def _post_harvest_voltage(self, energy: np.ndarray) -> np.ndarray:
         """Per-lane post-harvest output voltage, or an upper bound on it.
 
@@ -113,26 +136,13 @@ class LockstepKernel:
         """
         return self.post_harvest_voltage_bound(energy)
 
-    def _replay_load(
-        self, load: np.ndarray, stepping: np.ndarray, system_on: bool
-    ) -> np.ndarray:
-        """Per-lane draw current for one replayed step, masked to the movers.
-
-        The engine hands the replay a per-lane constant ``load``; kernels
-        whose scalar counterpart re-evaluates a state-dependent
-        :meth:`EnergyBuffer.overhead_current` inside every fast-forwarded
-        step (``dynamic_overhead`` kernels — REACT ties it to the output
-        voltage and connected-bank count) override this to add that term
-        before the mask, mirroring the scalar replay loops bit for bit.
-        """
-        return np.where(stepping, load, 0.0)
-
     def fast_forward(self, energy_in, load, dt, times, plan):
         """Advance off-phase lanes through whole-segment replay.
 
         ``energy_in`` / ``load`` are per-lane constants over the planned
-        segments (delivered energy per step, gate quiescent plus buffer
-        overhead current); ``times`` is the per-lane clock array, which is
+        segments (delivered energy per step, gate quiescent current); each
+        step draws ``load + overhead_current(False)``, the scalar off-phase
+        load.  ``times`` is the per-lane clock array, which is
         not mutated — a fresh array with ``dt`` added once per committed
         step (the scalar engine's additive accumulation) is returned along
         with the per-lane committed step counts.
@@ -160,8 +170,9 @@ class LockstepKernel:
             if harvesting:
                 self.harvest(np.where(stepping, energy_in, 0.0))
             masked_dt = np.where(stepping, dt, 0.0)
-            self.draw(self._replay_load(load, stepping, False), masked_dt)
-            self.housekeeping(np.where(stepping, times, never), masked_dt)
+            current = load + self.overhead_current(False)
+            self.draw(np.where(stepping, current, 0.0), masked_dt)
+            self.housekeeping(np.where(stepping, times, never), masked_dt, False)
             times = np.where(stepping, times + dt, times)
             consumed += stepping
             # Post-commit: the committed step used the correct pre-crossing
@@ -178,12 +189,13 @@ class LockstepKernel:
 
         The on-phase analogue of :meth:`fast_forward`: ``load`` is each
         lane's promised constant demand (MCU mode + peripherals + gate
-        quiescent + buffer overhead, as cached by the batch engine's hint
-        masks) and the stop set swaps the drain test for the gate's
-        brown-out floor, checked at each step *start* — harvesting can
-        only raise the voltage, so a step starting above the floor cannot
-        brown out mid-step, while a step starting at or below it might and
-        is left to the engine's exact machinery to resolve.
+        quiescent, as cached by the batch engine's hint masks), each step
+        adds ``overhead_current(True)``, and the stop set swaps the drain
+        test for the gate's brown-out floor, checked at each step *start* —
+        harvesting can only raise the voltage, so a step starting above
+        the floor cannot brown out mid-step, while a step starting at or
+        below it might and is left to the engine's exact machinery to
+        resolve.
         """
         max_steps = plan.steps
         stop_above = plan.stop_above
@@ -205,8 +217,9 @@ class LockstepKernel:
             if harvesting:
                 self.harvest(np.where(stepping, energy_in, 0.0))
             masked_dt = np.where(stepping, dt, 0.0)
-            self.draw(self._replay_load(load, stepping, True), masked_dt)
-            self.housekeeping(np.where(stepping, times, never), masked_dt)
+            current = load + self.overhead_current(True)
+            self.draw(np.where(stepping, current, 0.0), masked_dt)
+            self.housekeeping(np.where(stepping, times, never), masked_dt, True)
             times = np.where(stepping, times + dt, times)
             consumed += stepping
             stepping &= ~(self.voltage < stop_below)
@@ -297,8 +310,9 @@ class EnergyBuffer(ABC):
         experiment layer partitions grid cells on this key.  ``None`` means
         no batched kernel exists for this buffer and its lanes fall back to
         the scalar engine (see
-        :meth:`~repro.buffers.static.StaticBuffer.batch_key` and
-        :meth:`~repro.buffers.morphy.MorphyBuffer.batch_key` for the
+        :meth:`~repro.buffers.static.StaticBuffer.batch_key`,
+        :meth:`~repro.buffers.morphy.MorphyBuffer.batch_key` and
+        :meth:`~repro.buffers.react_adapter.ReactBuffer.batch_key` for the
         in-tree kernels).
         """
         return None

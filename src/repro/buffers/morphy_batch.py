@@ -63,8 +63,8 @@ class MorphyBatchKernel(LockstepKernel):
     The per-lane :class:`~repro.buffers.morphy.MorphyBuffer` objects stay
     alive for workload-facing APIs (longevity requests, the ``ctx.buffer``
     telemetry workloads read) while the electrical state advances through
-    the shared arrays; :meth:`sync_lane` / :meth:`finalize_lane` write a
-    lane's array state back into its buffer object.
+    the shared arrays; :meth:`sync_lanes` / :meth:`finalize_lane` write
+    lanes' array state back into their buffer objects.
 
     Segment fast-forwarding (:meth:`~repro.buffers.base.LockstepKernel.fast_forward`
     and its on-phase twin) is inherited in its *conservative* form: the
@@ -341,8 +341,12 @@ class MorphyBatchKernel(LockstepKernel):
 
     # -- housekeeping (leakage + controller poll) --------------------------------
 
-    def housekeeping(self, time: np.ndarray, dt: np.ndarray) -> None:
-        """Vectorized :meth:`MorphyBuffer.housekeeping` for one lockstep step."""
+    def housekeeping(self, time: np.ndarray, dt: np.ndarray, system_on) -> None:
+        """Vectorized :meth:`MorphyBuffer.housekeeping` for one lockstep step.
+
+        ``system_on`` is unused: Morphy's controller is separately powered
+        and polls whether or not the platform is on.
+        """
         voltages = self._V
         lost_charge = (
             self._rated_current_col
@@ -466,14 +470,9 @@ class MorphyBatchKernel(LockstepKernel):
         self._refresh_lane_cache()
         self._refresh_level_cache()
 
-    def sync_lane(self, index: int) -> None:
-        """Refresh lane ``index``'s buffer object so Python code can read it."""
-        buffer = self.buffers[index]
-        buffer._voltages = self._V[index].tolist()
-        buffer.level = int(self._level[index])
-
     def sync_lanes(self, indices: Sequence[int]) -> None:
         """Refresh every buffer object in ``indices`` in one pass."""
+        indices = list(indices)  # a tuple would index numpy as one key
         voltages = self._V[indices].tolist()
         levels = self._level[indices].tolist()
         buffers = self.buffers
@@ -491,7 +490,7 @@ class MorphyBatchKernel(LockstepKernel):
         all carry forward (the scalar tail hand-off resumes from them).
         """
         buffer = self.buffers[index]
-        self.sync_lane(index)
+        self.sync_lanes((index,))
         buffer._next_poll_time = float(self._next_poll[index])
         buffer.reconfiguration_count += int(self._reconfigurations[index])
         ledger = buffer.ledger

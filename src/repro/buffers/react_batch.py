@@ -67,11 +67,12 @@ The kernel inherits the generic full-batch segment replay from
 :class:`~repro.buffers.base.LockstepKernel`
 (``fast_forward_needs_full_batch = True``: one replayed step costs about a
 main-loop step, so partial-group replay would run the heavy hooks twice
-per simulated step).  REACT's overhead current is state-dependent
-(:attr:`dynamic_overhead`), so the replay override adds
-``overhead_current`` per step inside :meth:`_replay_load` — mirroring the
-scalar ``fast_forward`` loops, which re-evaluate it every step — and the
-batch engine adds it after load assembly instead of caching it.
+per simulated step).  REACT's overhead current tracks live state (output
+voltage and connected-bank count), so :meth:`overhead_current` overrides
+the kernel default; the batch engine and the replay add it to every step's
+load, exactly where the scalar engine and the scalar ``fast_forward``
+loops do.  The software controller polls only while the platform is on:
+:meth:`housekeeping` takes the scalar hook's ``system_on`` per lane.
 
 :class:`~repro.buffers.capybara.CapybaraBuffer` does **not** share this
 kernel: it is a different architecture (base + task capacitor with
@@ -119,21 +120,6 @@ _CODE_SIGNAL = {code: signal for signal, code in _SIGNAL_CODE.items()}
 
 class ReactBatchKernel(LockstepKernel):
     """Lockstep kernel over N REACT lanes sharing one ``ReactConfig``."""
-
-    #: The kernel's overhead current depends on live state (output voltage
-    #: and connected-bank count), so the batch engine must not cache it at
-    #: batch start: it zeroes the static overhead contribution instead and
-    #: adds :meth:`overhead_current` to the assembled load every step.
-    dynamic_overhead = True
-
-    #: Opt in to shared-expiry hint clustering
-    #: (:func:`~repro.sim.segments.cluster_expiry_budgets`): the full-batch
-    #: replay only fires when *every* on lane agrees, so trading a step or
-    #: two of skip length to keep near-coincident lanes phase-locked wins
-    #: here (~13% on the 80-lane hint sweep).  Kernels whose lanes replay
-    #: fine unaligned profile slower with clustering, so it is per-kernel
-    #: opt-in rather than an engine default.
-    wants_expiry_clustering = True
 
     #: The buffer class whose lanes this kernel hosts.
     buffer_type = ReactBuffer
@@ -312,12 +298,6 @@ class ReactBatchKernel(LockstepKernel):
         self.delivered = np.zeros(n)
         self.leaked = np.zeros(n)
         self.switching = np.zeros(n)
-        # Power-gate phase mask, pushed by the batch engine before every
-        # housekeeping call; the scalar controller is software and only
-        # polls while the platform is on.  ``_phase_on`` pins the phase
-        # during segment replay (the engine is not in the loop there).
-        self._system_on = np.zeros(n, dtype=bool)
-        self._phase_on: Optional[bool] = None
         self._rows = np.arange(n)
 
     # -- construction -------------------------------------------------------------
@@ -375,8 +355,8 @@ class ReactBatchKernel(LockstepKernel):
     def overhead_current(self, system_on) -> np.ndarray:
         """Vector mirror of :meth:`ReactBuffer.overhead_current`.
 
-        ``system_on`` may be a scalar bool (segment replay pins one phase)
-        or the engine's per-lane enabled mask.
+        ``system_on`` may be one bool (a replay phase) or the engine's
+        per-lane enabled mask.
         """
         voltage = np.maximum(self._ll_charge / self._C_ll, self._brownout)
         hardware_power = self._instrumentation_power + (
@@ -388,10 +368,6 @@ class ReactBatchKernel(LockstepKernel):
         )
 
     # -- engine hooks ------------------------------------------------------------
-
-    def set_system_on(self, enabled: np.ndarray) -> None:
-        """Record the power-gate mask for the next ``housekeeping`` call."""
-        self._system_on = enabled
 
     def harvest(self, energy: np.ndarray) -> None:
         """Vector mirror of ``ReactBuffer.harvest`` + ``ReactHardware.harvest``.
@@ -514,65 +490,25 @@ class ReactBatchKernel(LockstepKernel):
         self._cap_delivered += delivered
         self.delivered += delivered
 
-    def housekeeping(self, time: np.ndarray, dt: np.ndarray) -> None:
+    def housekeeping(self, time: np.ndarray, dt: np.ndarray, system_on) -> None:
         """Replenish → leakage → (on lanes) poll + replenish → ledger sync.
 
-        Mirrors ``ReactBuffer.housekeeping``.  The scalar adapter calls
-        replenish unconditionally, but a masked lane (``dt == 0``, clock
-        pinned to -inf) must stay bit-unchanged, so every mover here is
-        gated on ``dt > 0``; leakage is arithmetically a no-op at
-        ``dt == 0`` except for the bank cell-voltage round trip, which
-        :meth:`_apply_leakage` masks.
+        Mirrors ``ReactBuffer.housekeeping``; the controller is software, so
+        only lanes with ``system_on`` (a per-lane mask or one bool) poll.
+        The scalar adapter calls replenish unconditionally, but a masked
+        lane (``dt == 0``, clock pinned to -inf) must stay bit-unchanged,
+        so every mover here is gated on ``dt > 0``; leakage is
+        arithmetically a no-op at ``dt == 0`` except for the bank
+        cell-voltage round trip, which :meth:`_apply_leakage` masks.
         """
         active = dt > 0.0
         self._replenish(active)
         self._apply_leakage(dt, active)
-        if self._phase_on is None:
-            on = self._system_on & active
-        elif self._phase_on:
-            on = active
-        else:
-            on = None
-        if on is not None and np.count_nonzero(on):
+        on = active & system_on
+        if np.count_nonzero(on):
             self._poll(time, on)
             self._replenish(on)
         self._sync_ledger()
-
-    # -- segment replay ----------------------------------------------------------
-
-    def fast_forward(self, energy_in, load, dt, times, plan):
-        """Off-phase replay with the controller pinned off.
-
-        The generic replay masks frozen lanes by zero ``dt``; REACT's
-        housekeeping additionally needs the phase (the engine is not in
-        the loop to push ``set_system_on``), and the scalar off-phase
-        replay never polls.
-        """
-        self._phase_on = False
-        try:
-            return super().fast_forward(energy_in, load, dt, times, plan)
-        finally:
-            self._phase_on = None
-
-    def fast_forward_on(self, energy_in, load, dt, times, plan, brownout_floor):
-        """On-phase replay: every stepping lane polls on its own grid."""
-        self._phase_on = True
-        try:
-            return super().fast_forward_on(
-                energy_in, load, dt, times, plan, brownout_floor
-            )
-        finally:
-            self._phase_on = None
-
-    def _replay_load(self, load, stepping, system_on):
-        """Add the state-dependent overhead per replayed step.
-
-        The scalar ``fast_forward`` loops draw
-        ``load + overhead_current(phase)`` each step; the batch engine
-        passes overhead-free loads for ``dynamic_overhead`` kernels, so
-        the same re-evaluation happens here.
-        """
-        return np.where(stepping, load + self.overhead_current(system_on), 0.0)
 
     # -- internal physics --------------------------------------------------------
 
@@ -802,31 +738,26 @@ class ReactBatchKernel(LockstepKernel):
             "_hw_transfer", "_clip_base", "_leak_base", "_transfer_base",
             "_cap_absorbed", "_cap_delivered", "_cap_clipped", "_cap_leaked",
             "_bank_leaked", "offered", "stored", "clipped", "delivered",
-            "leaked", "switching", "_system_on",
+            "leaked", "switching",
         ):
             setattr(self, name, getattr(self, name)[keep])
         self._rows = np.arange(len(self.buffers))
 
-    def sync_lane(self, index: int) -> None:
-        """Refresh lane ``index``'s objects so Python code can read them.
+    def sync_lanes(self, indices: Sequence[int]) -> None:
+        """Refresh the objects of every lane in ``indices`` for Python code.
 
         Workload step contexts read output voltage, usable energy,
         capacitance (level) and stored energy — all functions of the
         last-level charge and the bank states/voltages.
         """
-        buffer = self.buffers[index]
-        hardware = buffer.hardware
-        hardware.last_level._charge = float(self._ll_charge[index])
-        states = self._state[index]
-        for j, bank in enumerate(hardware.banks):
-            bank.cell_voltage = float(self._cell_v[index, j])
-            bank.state = _CODE_STATE[int(states[j])]
-        hardware._invalidate_topology()
-
-    def sync_lanes(self, indices: Sequence[int]) -> None:
-        """Refresh every buffer object in ``indices`` in one pass."""
         for index in indices:
-            self.sync_lane(index)
+            hardware = self.buffers[index].hardware
+            hardware.last_level._charge = float(self._ll_charge[index])
+            states = self._state[index]
+            for j, bank in enumerate(hardware.banks):
+                bank.cell_voltage = float(self._cell_v[index, j])
+                bank.state = _CODE_STATE[int(states[j])]
+            hardware._invalidate_topology()
 
     def finalize_lane(self, index: int) -> ReactBuffer:
         """Write lane ``index``'s array state back into its component objects.

@@ -480,12 +480,11 @@ class StaticBatchKernel(LockstepKernel):
         """Vectorized :meth:`StaticBuffer.draw` for one lockstep step."""
         self.caps.discharge_current(current, dt)
 
-    def housekeeping(self, time: np.ndarray, dt: np.ndarray) -> None:
+    def housekeeping(self, time: np.ndarray, dt: np.ndarray, system_on) -> None:
         """Vectorized :meth:`StaticBuffer.housekeeping` (leakage only).
 
-        ``time`` is part of the shared kernel interface (the Morphy kernel
-        schedules its 10 Hz controller poll off it); a static capacitor has
-        no controller, so only leakage applies here.
+        A static capacitor has no controller, so ``time`` and ``system_on``
+        are unused and only leakage applies.
         """
         self.caps.apply_leakage(dt)
 
@@ -507,10 +506,12 @@ class StaticBatchKernel(LockstepKernel):
 
     def fast_forward(self, energy_in, load, dt, times, plan):
         """Per-lane off-phase replay (see :meth:`_replay`)."""
+        load = load + self.overhead_current(False)
         return self._replay(energy_in, load, dt, times, plan, None)
 
     def fast_forward_on(self, energy_in, load, dt, times, plan, brownout_floor):
         """Per-lane on-phase replay (see :meth:`_replay`)."""
+        load = load + self.overhead_current(True)
         return self._replay(energy_in, load, dt, times, plan, brownout_floor)
 
     def _replay(self, energy_in, load, dt, times, plan, brownout_floor):
@@ -591,10 +592,6 @@ class StaticBatchKernel(LockstepKernel):
         self.buffers = [b for b, k in zip(self.buffers, keep) if k]
         self.offered = self.offered[keep]
         self.caps.compact(keep)
-
-    def sync_lane(self, index: int) -> None:
-        """Refresh lane ``index``'s buffer object so Python code can read it."""
-        self.caps.sync_charge(index)
 
     def sync_lanes(self, indices: Sequence[int]) -> None:
         """Refresh every buffer object in ``indices`` in one pass."""

@@ -165,17 +165,11 @@ class CapacitorArray:
         self.clipped = self.clipped[keep]
         self.leaked = self.leaked[keep]
 
-    def sync_charge(self, index: int) -> None:
-        """Push lane ``index``'s charge into its capacitor object.
-
-        Called before handing the owning buffer to Python code (workload
-        steps observe buffer voltage/energy through the scalar object).
-        """
-        self.capacitors[index]._charge = float(self.charge[index])
-
     def sync_charges(self, indices: Sequence[int]) -> None:
-        """Bulk :meth:`sync_charge` for every lane in ``indices``.
+        """Push the charge of every lane in ``indices`` into its capacitor.
 
+        Called before handing the owning buffers to Python code (workload
+        steps observe buffer voltage/energy through the scalar objects).
         One ``tolist`` materialization amortizes the numpy scalar-indexing
         cost across all powered lanes of a batch step.
         """

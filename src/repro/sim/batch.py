@@ -35,7 +35,12 @@ gate transitions, timestamps, workload behaviour) and energy ledger are
 **bit-identical** to running that lane alone through the scalar engine,
 with or without its fast paths, because every vectorized expression and
 every whole-segment replay mirrors the scalar update rule operation for
-operation, ledger additions included.
+operation, ledger additions included.  Every kernel takes the scalar
+buffer hooks with their scalar arguments
+(:class:`~repro.buffers.base.LockstepKernel`), and the engine calls them
+where the scalar engine calls the buffer's: ``overhead_current`` last in
+the load sum, ``housekeeping(time, dt, system_on)`` with the post-gating
+enabled mask.
 
 Two scalar behaviours are reproduced in aggregated form, exactly as the
 scalar off-phase fast path already does: while a lane is off, its workload
@@ -90,7 +95,7 @@ from repro.exceptions import SimulationError
 from repro.platform.mcu import PowerMode
 from repro.sim.engine import Simulator
 from repro.sim.results import SimulationResult
-from repro.sim.segments import LaneSegmentPlanner, cluster_expiry_budgets
+from repro.sim.segments import LaneSegmentPlanner
 from repro.sim.system import BatterylessSystem
 from repro.workloads.base import StepContext
 
@@ -286,7 +291,7 @@ class _Lanes:
     container can fall out of step when lanes retire.
     """
 
-    def __init__(self, systems, kernel, dt_on, dt_off, dynamic_overhead) -> None:
+    def __init__(self, systems, dt_on, dt_off) -> None:
         n = len(systems)
         self.systems = list(systems)
         self.workloads = [s.workload for s in systems]
@@ -305,21 +310,10 @@ class _Lanes:
         self.off_start = np.zeros(n)
         self.enable_voltage = np.array([g.enable_voltage for g in self.gates])
         self.brownout_voltage = np.array([g.brownout_voltage for g in self.gates])
-        quiescent = np.array([g.quiescent_current for g in self.gates])
-        # A ``dynamic_overhead`` kernel (REACT's overhead tracks live buffer
-        # state) has its overhead added fresh in the load phase every step,
-        # so the static contributions here are zeroed (adding 0.0 first
-        # keeps the scalar addition order: ``(q + 0.0) + o == q + o``).
-        if dynamic_overhead:
-            self.off_load = quiescent + np.zeros(n)
-            self.on_overhead = [0.0] * n
-        else:
-            buffers = kernel.buffers
-            self.off_load = quiescent + np.array(
-                [b.overhead_current(False) for b in buffers]
-            )
-            self.on_overhead = [b.overhead_current(True) for b in buffers]
-        self.quiescent = quiescent.tolist()
+        # An off lane's platform load: the gate's quiescent current (the
+        # buffer overhead is added last, by the load phase and the replay).
+        self.off_load = np.array([g.quiescent_current for g in self.gates])
+        self.quiescent = self.off_load.tolist()
         self.raw_energy = np.zeros(n)
         self.delivered_energy = np.zeros(n)
         self.dt_on_full = np.full(n, dt_on)
@@ -385,10 +379,7 @@ class _LockstepRun:
         self.dt_off = simulator.dt_off
         self.predict_enable = self.dt_off > self.dt_on
         self.use_hints = simulator.fast_forward
-        self.dynamic_overhead = bool(getattr(kernel, "dynamic_overhead", False))
-        lanes = self.lanes = _Lanes(
-            simulator.systems, kernel, self.dt_on, self.dt_off, self.dynamic_overhead
-        )
+        lanes = self.lanes = _Lanes(simulator.systems, self.dt_on, self.dt_off)
         self.results: List[Optional[SimulationResult]] = [None] * len(lanes.time)
 
         # Sticky loop state.  ``n_enabled`` tracks the number of powered
@@ -399,13 +390,8 @@ class _LockstepRun:
         self.iterations = 0
         self.n_enabled = 0
         self.all_past_trace = False
-        self.kernel_set_system_on = getattr(kernel, "set_system_on", None)
         # Fewer live lanes than this hand off to the scalar engine.
         self.floor = lane_floor(kernel.buffers[0])
-        # Hint-expiry clustering (see cluster_expiry_budgets) trades skip
-        # length for phase-lock: it pays off for REACT's all-lanes-must-agree
-        # replay but slows kernels whose lanes replay fine unaligned.
-        self.cluster_hints = bool(getattr(kernel, "wants_expiry_clustering", False))
         # Zero-order-hold trace lookup table (sentinel zero sample past the
         # end); semantics are owned by PowerTrace and pinned against
         # power_at/powers_at by the trace tests.
@@ -420,7 +406,6 @@ class _LockstepRun:
         use_fast_forward = (
             simulator.fast_forward
             and breakpoints is not None
-            and getattr(kernel, "supports_fast_forward", False)
             and all(b.can_fast_forward() for b in kernel.buffers)
         )
         self.planner = (
@@ -445,7 +430,7 @@ class _LockstepRun:
         start = float(lanes.off_start[index])
         now = float(lanes.time[index])
         if now > start:
-            self.kernel.sync_lane(index)
+            self.kernel.sync_lanes((index,))
             lanes.workloads[index].step(
                 StepContext(start, now - start, False, self.kernel.buffers[index])
             )
@@ -457,7 +442,7 @@ class _LockstepRun:
         if pending:
             start = lanes.skip_start[index]
             now = float(lanes.time[index])
-            self.kernel.sync_lane(index)
+            self.kernel.sync_lanes((index,))
             lanes.workloads[index].skip_quiescent(
                 StepContext(start, now - start, True, self.kernel.buffers[index]),
                 pending,
@@ -645,8 +630,6 @@ class _LockstepRun:
             if hinted.any() and (not needs_full_batch or bool(hinted.all())):
                 wake = np.asarray(lanes.hint_wake)
                 plan = planner.plan_on(lanes.time, voltage, hinted, until, wake, budget)
-                if self.cluster_hints:
-                    plan = cluster_expiry_budgets(plan, until, self.dt_on)
                 group = plan.steps > 0
                 if group.any() and (not needs_full_batch or bool(group.all())):
                     dt_on = self.dt_on
@@ -841,7 +824,9 @@ class _LockstepRun:
         dispatch and reuse the promised demand (the hint check uses the
         post-harvest ``voltage`` — exactly what a stepped workload would
         observe); the rest step normally and may cache a fresh hint for the
-        iterations that follow.
+        iterations that follow.  Every lane's buffer overhead
+        (``kernel.overhead_current``) is added last, in the scalar engine's
+        addition order.
         """
         lanes = self.lanes
         kernel = self.kernel
@@ -855,7 +840,6 @@ class _LockstepRun:
             mode_current = lanes.mode_current
             mode_time = lanes.mode_time
             quiescent = lanes.quiescent
-            on_overhead = lanes.on_overhead
             hint_until = lanes.hint_until
             hint_wake = lanes.hint_wake
             hint_load = lanes.hint_load
@@ -900,7 +884,6 @@ class _LockstepRun:
                     mode_current[index][slot]
                     + demand.peripheral_current
                     + quiescent[index]
-                    + on_overhead[index]
                 )
                 if not use_hints:
                     continue
@@ -923,16 +906,10 @@ class _LockstepRun:
                     mode_current[index][slot]
                     + promised.peripheral_current
                     + quiescent[index]
-                    + on_overhead[index]
                 )
-        if self.dynamic_overhead:
-            # State-dependent overhead, evaluated fresh against the
-            # post-harvest buffer state — the observation point where the
-            # scalar engine calls ``buffer.overhead_current`` while
-            # assembling the load.  Adding it last preserves the scalar
-            # addition order for both phases (the static contribution was
-            # built with ``+ 0.0`` in its place).
-            load = load + kernel.overhead_current(lanes.enabled)
+        # Evaluated against the post-harvest buffer state, the observation
+        # point where the scalar engine calls ``buffer.overhead_current``.
+        load = load + kernel.overhead_current(lanes.enabled)
         if skipped is not None:
             # Zero the load too: a zero current (not just zero dt) is what
             # makes the draw an exact no-op for every kernel.
@@ -944,16 +921,13 @@ class _LockstepRun:
         lanes = self.lanes
         kernel = self.kernel
         kernel.draw(load, dt)
-        # Leakage plus controller polling.
-        if self.kernel_set_system_on is not None:
-            # Kernels running a software controller (REACT's poll) need the
-            # power-gate phase: the scalar engine passes post-gating
-            # ``system_on`` into buffer.housekeeping.
-            self.kernel_set_system_on(lanes.enabled)
+        # Leakage plus controller polling, with the post-gating power-gate
+        # mask as the scalar engine's ``system_on``.
         if skipped is not None:
             # Suppress time-triggered controller polls for lanes whose
             # clocks already ran ahead during the segment replay.
-            kernel.housekeeping(np.where(skipped, _MINUS_INFINITY, lanes.time), dt)
+            time = np.where(skipped, _MINUS_INFINITY, lanes.time)
         else:
-            kernel.housekeeping(lanes.time, dt)
+            time = lanes.time
+        kernel.housekeeping(time, dt, lanes.enabled)
         lanes.time = end_time

@@ -45,7 +45,7 @@ third-party kernel honouring a plan must guarantee):
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -173,57 +173,6 @@ class LaneSegmentPlan(NamedTuple):
     stop_above: np.ndarray  # +inf = unbounded above
     stop_below: np.ndarray  # -inf = unbounded below
     drain_floor: np.ndarray  # -inf = no drain termination check (off-phase)
-
-
-def cluster_expiry_budgets(plan, hint_until, dt):
-    """Align step budgets of lanes whose hint expiries nearly coincide.
-
-    Lanes whose quiescence hints expire within one ``dt`` of each other
-    (periodic workloads sharing a phase, staggered only by gate-enable
-    jitter) tend to re-hint together too.  Left alone, their plans differ
-    by a step or two, the lane that stops first forces a ragged
-    normal-step iteration for the others, and the group never again
-    fast-forwards as one (full-batch kernels — those declaring
-    ``fast_forward_needs_full_batch`` — only replay when *every* on lane
-    agrees).  Capping each near-coincident cluster at its smallest member
-    budget keeps those lanes phase-locked: they consume identical step
-    counts, expire together, and the next window is again jointly
-    skippable.
-
-    Only ever *reduces* budgets, which SegmentPlan invariant 1 declares
-    always safe — trajectories are bit-identical with or without
-    clustering (the differential suite pins this); singleton clusters and
-    non-fast-forwarding lanes are untouched.
-
-    The trade is shorter skips now for joint skips later, which only pays
-    when ragged lanes actually block replay — so the batch engine applies
-    this per-kernel, gated on ``wants_expiry_clustering`` (REACT opts in;
-    kernels whose replay tolerates unaligned lanes profile slower with
-    clustering forced on).
-    """
-    steps = plan.steps
-    active = (steps > 0) & np.isfinite(hint_until)
-    if np.count_nonzero(active) < 2:
-        return plan
-    lanes = np.nonzero(active)[0]
-    order = lanes[np.argsort(hint_until[lanes], kind="stable")]
-    expiries = hint_until[order]
-    # A new cluster starts wherever the expiry gap exceeds one step.
-    starts = np.nonzero(np.diff(expiries) > dt)[0] + 1
-    bounds = np.concatenate(([0], starts, [len(order)]))
-    new_steps = steps.copy()
-    changed = False
-    for begin, end in zip(bounds[:-1], bounds[1:]):
-        if end - begin < 2:
-            continue
-        members = order[begin:end]
-        floor = new_steps[members].min()
-        if (new_steps[members] != floor).any():
-            new_steps[members] = floor
-            changed = True
-    if not changed:
-        return plan
-    return plan._replace(steps=new_steps)
 
 
 class LaneSegmentPlanner:

@@ -6,7 +6,8 @@ step-by-step execution and the scalar engine's default fast paths.  These
 tests pin that contract on the full quick-mode grid for every batched
 buffer (the statics and Dewdrop), exercise lane divergence and retirement,
 each kernel's lane floor and the scalar tail hand-off it triggers, the step
-limit, and the per-lane fallback for unbatchable buffers.  Tests set the
+limit, the per-lane fallback for unbatchable buffers, and the kernel hooks'
+contract with the scalar buffer hooks.  Tests set the
 floors they need through the ``lane_floors`` fixture (``conftest.py``),
 which also reports the kernels a test reached.
 """
@@ -41,6 +42,7 @@ from repro.sim.batch import (
     KERNEL_BUILDERS,
     BatchSimulator,
     _LockstepRun,
+    build_batch_kernel,
     lane_floor,
 )
 from repro.sim.engine import Simulator
@@ -105,6 +107,49 @@ def build_system(trace, buffer, workload_name, trace_name, regulator=None):
         mcu=MSP430FR5994(),
         regulator=regulator,
     )
+
+
+def contract_families():
+    """One lane list per in-tree batchable family, charged to distinct states."""
+    return {
+        "static": [StaticBuffer(microfarads(770.0)), StaticBuffer(millifarads(10.0))],
+        "dewdrop": [DewdropBuffer(millifarads(10.0)), DewdropBuffer(millifarads(1.0))],
+        "morphy": morphy_variant_buffers(),
+        "react": [
+            ReactBuffer(),
+            ReactBuffer(name="REACT 3 mA", active_current_hint=milliamps(3.0)),
+            ReactBuffer(name="REACT cold"),
+        ],
+    }
+
+
+class TestKernelContract:
+    """A kernel's hooks mirror its buffers' scalar hooks, argument for argument.
+
+    The batch engine adds ``kernel.overhead_current(system_on)`` to every
+    lane's load, so a buffer that overrides ``overhead_current`` without a
+    matching kernel override would silently diverge from the scalar engine;
+    this pin makes it fail here first.
+    """
+
+    @pytest.mark.parametrize("family", sorted(contract_families()))
+    def test_overhead_current_matches_the_scalar_hook(self, family):
+        buffers = contract_families()[family]
+        # Distinct voltages (and, for REACT, a bank the poll connected).
+        for buffer, energy in zip(buffers, (0.02, 1e-4, 0.0)):
+            buffer.harvest(energy, 0.1)
+            buffer.housekeeping(0.0, 0.1, True)
+        kernel = build_batch_kernel(buffers)
+        assert kernel is not None
+        width = len(buffers)
+        for phase in (False, True):
+            got = np.broadcast_to(kernel.overhead_current(phase), width)
+            assert got.tolist() == [b.overhead_current(phase) for b in buffers]
+        mask = np.arange(width) % 2 == 0
+        got = np.broadcast_to(kernel.overhead_current(mask), width)
+        assert got.tolist() == [
+            b.overhead_current(bool(on)) for b, on in zip(buffers, mask)
+        ]
 
 
 class TestBatchability:
