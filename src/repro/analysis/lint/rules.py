@@ -103,6 +103,7 @@ class LedgerSumRule(Rule):
     )
     scope = (
         "repro/buffers/*.py",
+        "repro/core/*.py",
         "repro/sim/batch.py",
         "repro/sim/segments.py",
         "repro/sim/metrics.py",

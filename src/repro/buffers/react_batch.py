@@ -126,10 +126,12 @@ class ReactBatchKernel(LockstepKernel):
 
     #: Narrowest lane group worth a lockstep batch (see
     #: :func:`repro.sim.batch.lane_floor`): the crossover
-    #: ``benchmarks/crossover.py`` measured on a 2-core host, batch/serial
-    #: median (wins of 5) 1.31 (1) on RF Cart and 1.34 (0) on RF Mobile at
-    #: 20 lanes, 0.63 (5) and 0.65 (5) at 40 lanes.
-    min_lanes = 40
+    #: ``benchmarks/crossover.py`` measured on a 2-core host against the
+    #: scalar fast path's flat-float replay
+    #: (:func:`~repro.buffers.react_adapter.replay_segment`), batch/serial
+    #: median (wins of 5) 1.09 (0) on RF Cart and 1.00 (3) on RF Mobile at
+    #: 40 lanes, 0.62 (5) and 0.53 (5) at 80 lanes.
+    min_lanes = 80
 
     def __init__(self, buffers: Sequence[ReactBuffer]) -> None:
         self.buffers: List[ReactBuffer] = list(buffers)

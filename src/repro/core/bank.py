@@ -115,17 +115,6 @@ class CapacitorBank:
             return self.rated_cell_voltage * self.count
         return self.rated_cell_voltage
 
-    def energy_at_output_voltage(self, output_voltage: float) -> float:
-        """Stored energy if the output were at ``output_voltage`` in this state."""
-        if self.state is BankState.DISCONNECTED:
-            return self.stored_energy
-        cell = (
-            output_voltage / self.count
-            if self.state is BankState.SERIES
-            else output_voltage
-        )
-        return self.count * capacitor_energy(self.unit_capacitance, cell)
-
     # -- state machine -----------------------------------------------------------------
 
     def connect_series(self) -> None:
@@ -214,8 +203,8 @@ class CapacitorBank:
         state = self.state
         if state is BankState.DISCONNECTED or energy == 0.0:
             return 0.0
-        # Inlined max_output_voltage / energy_at_output_voltage /
-        # stored_energy (this runs for every harvesting step).
+        # Inlined max_output_voltage / stored_energy at the clamp and at the
+        # present cell voltage (this runs for every harvesting step).
         count = self.spec.count
         unit = self.spec.unit_capacitance
         if state is BankState.SERIES:

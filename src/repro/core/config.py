@@ -102,6 +102,7 @@ class ReactConfig:
     @property
     def maximum_capacitance(self) -> float:
         """Capacitance with every bank connected in parallel."""
+        # repro-lint: disable=ledger-sum -- configuration-table arithmetic, computed in this one place
         return self.last_level_capacitance + sum(
             bank.parallel_capacitance for bank in self.banks
         )

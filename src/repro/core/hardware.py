@@ -79,13 +79,14 @@ class ReactHardware:
         # Per-bank post-reclamation stranded energy is a pure function of the
         # (immutable) bank geometry and the low threshold; precomputing it
         # keeps usable_energy() — polled every step by longevity-aware
-        # workloads — off the reclamation math.
-        self._stranded_floor = {
-            id(bank): stranded_energy_with_reclamation(
+        # workloads — off the reclamation math.  Kept in bank order rather
+        # than keyed by id(bank): identity does not survive a copy or pickle.
+        self._stranded_floor = [
+            stranded_energy_with_reclamation(
                 bank.count, bank.unit_capacitance, config.low_threshold
             )
             for bank in self.banks
-        }
+        ]
 
     def _invalidate_topology(self) -> None:
         self._connected_cache = None
@@ -115,6 +116,7 @@ class ReactHardware:
     @property
     def equivalent_capacitance(self) -> float:
         """Capacitance currently presented to the harvester and load."""
+        # repro-lint: disable=ledger-sum -- telemetry read only from these objects (batch lanes sync back first), so every engine shares this one add order
         return self.last_level.capacitance + sum(
             bank.equivalent_capacitance for bank in self.connected_banks
         )
@@ -122,6 +124,7 @@ class ReactHardware:
     @property
     def stored_energy(self) -> float:
         """Total energy stored anywhere in the fabric (including stranded charge)."""
+        # repro-lint: disable=ledger-sum -- read only from these objects (batch lanes sync back before a workload reads it), so every engine shares this one add order
         return self.last_level.energy + sum(bank.stored_energy for bank in self.banks)
 
     @property
@@ -146,9 +149,9 @@ class ReactHardware:
             self.last_level.capacitance, self.config.brownout_voltage
         )
         total = max(0.0, self.last_level.energy - floor)
-        stranded_floor = self._stranded_floor
-        for bank in self.connected_banks:
-            total += max(0.0, bank.stored_energy - stranded_floor[id(bank)])
+        for bank, stranded in zip(self.banks, self._stranded_floor):
+            if bank.is_connected:
+                total += max(0.0, bank.stored_energy - stranded)
         return total
 
     def signal(self) -> BufferSignal:
@@ -237,15 +240,16 @@ class ReactHardware:
         last_level = self.last_level
         sink_capacitance = last_level.capacitance
         max_voltage = self.config.max_voltage
-        # This loop runs (at least) twice per simulation step and usually
-        # performs a real transfer, so the two-capacitor equalization of
+        # The two-capacitor equalization of
         # :func:`~repro.capacitors.network.redistribute_charge` is inlined
-        # here (same expressions, same evaluation order).
+        # here (same expressions, same evaluation order): this runs once
+        # per step off and twice on, on every stepped step, and
+        # :func:`~repro.buffers.react_adapter.replay_segment` mirrors it.
         for _ in range(len(self.banks)):
             source = None
             source_voltage = 0.0
             for bank in connected:
-                # Inlined bank.output_voltage (hot scan, twice per step).
+                # Inlined bank.output_voltage (the hot scan).
                 if bank.state is BankState.SERIES:
                     voltage = bank.cell_voltage * bank.spec.count
                 else:

@@ -125,6 +125,17 @@ class TestLedgerSum:
         )
         assert result.clean
 
+    def test_flags_the_react_core(self):
+        result = run_rule(
+            "ledger-sum",
+            "repro/core/hardware.py",
+            """
+            def stored_energy(last_level, banks):
+                return last_level + sum(bank.stored_energy for bank in banks)
+            """,
+        )
+        assert rules_of(result) == ["ledger-sum"]
+
     def test_sum_outside_critical_modules_is_fine(self):
         result = run_rule(
             "ledger-sum", "repro/workloads/report.py", "x = sum([1.0, 2.0])\n"

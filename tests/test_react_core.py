@@ -1,8 +1,15 @@
 """REACT core: configuration, banks, sizing math, and reclamation accounting."""
 
-import pytest
-from hypothesis import given, strategies as st
+import copy
+import math
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.buffers.react_adapter as react_adapter
+from repro.buffers.base import EnergyBuffer
+from repro.buffers.react_adapter import ReactBuffer
+from repro.capacitors.leakage import ConstantCurrentLeakage
 from repro.core.bank import BankState, CapacitorBank
 from repro.core.config import BankSpec, ReactConfig, table1_config
 from repro.core.reclamation import (
@@ -234,3 +241,243 @@ class TestReclamation:
     @given(cells=st.integers(1, 8), unit=st.floats(1e-6, 1e-2), low=st.floats(0.0, 4.0))
     def test_reclamation_never_negative(self, cells, unit, low):
         assert reclaimable_energy(cells, unit, low) >= -1e-15
+
+
+# -- the fused whole-segment replay -------------------------------------------------
+
+
+def react_buffer(
+    ll_voltage,
+    banks=(),
+    next_poll=0.0,
+    totals=(0.0,) * 13,
+    buffer_class=ReactBuffer,
+):
+    """A Table-1 REACT buffer in a given mid-run state.
+
+    ``banks`` gives ``(step-ups taken, output voltage)`` for the first banks
+    (the rest stay disconnected and empty); ``totals`` seeds every running
+    total: the six ledger entries, the three hardware loss counters (with
+    their adapter baselines), and the last-level ledger's four entries.
+    """
+    buffer = buffer_class()
+    hardware = buffer.hardware
+    for bank, (code, output) in zip(hardware.banks, banks):
+        for _ in range(code):
+            bank.step_up()
+        multiplier = bank.count if code == 1 else 1
+        bank.set_cell_voltage(output / multiplier)
+    hardware.last_level.set_voltage(ll_voltage)
+    buffer.controller._next_poll_time = next_poll
+    ledger = buffer.ledger
+    (
+        ledger.offered,
+        ledger.stored,
+        ledger.delivered,
+        ledger.clipped,
+        ledger.leaked,
+        ledger.switching_loss,
+    ) = totals[:6]
+    hardware.energy_clipped = buffer._clip_baseline = totals[6]
+    hardware.energy_leaked = buffer._leak_baseline = totals[7]
+    hardware.transfer_loss = buffer._transfer_baseline = totals[8]
+    ll_ledger = hardware.last_level.ledger
+    (
+        ll_ledger.absorbed,
+        ll_ledger.delivered,
+        ll_ledger.clipped,
+        ll_ledger.leaked,
+    ) = totals[9:]
+    return buffer
+
+
+def react_state(buffer):
+    """Every field a REACT step can change."""
+    hardware = buffer.hardware
+    controller = buffer.controller
+    return (
+        hardware.last_level._charge,
+        [
+            (
+                bank.state,
+                bank.cell_voltage,
+                bank.energy_leaked,
+                bank.reconfiguration_count,
+            )
+            for bank in hardware.banks
+        ],
+        buffer.ledger.as_dict(),
+        (buffer._clip_baseline, buffer._leak_baseline, buffer._transfer_baseline),
+        (hardware.energy_clipped, hardware.energy_leaked, hardware.transfer_loss),
+        hardware.last_level.ledger.as_dict(),
+        (
+            controller._next_poll_time,
+            controller.poll_count,
+            controller.step_up_count,
+            controller.step_down_count,
+            controller._last_expansion_time,
+        ),
+        hardware.monitor.last_signal,
+    )
+
+
+def replay_both(buffer, on, *args, **bounds):
+    """Run the fused replay on ``buffer`` and the generic hook loop on a copy.
+
+    Both must commit the same steps to the same end time and leave every
+    mutable field equal.  Returns the fused run's ``(steps, end_time)``.
+    """
+    reference = copy.deepcopy(buffer)
+    if on:
+        fused = buffer.fast_forward_on(*args, **bounds)
+        generic = EnergyBuffer.fast_forward_on(reference, *args, **bounds)
+    else:
+        fused = buffer.fast_forward(*args, **bounds)
+        generic = EnergyBuffer.fast_forward(reference, *args, **bounds)
+    assert fused == generic
+    assert react_state(buffer) == react_state(reference)
+    return fused
+
+
+def optional(strategy):
+    return st.none() | strategy
+
+
+@st.composite
+def replay_cases(draw):
+    """A REACT state, a constant-power segment, and its stop bounds."""
+    banks = draw(
+        st.lists(
+            st.tuples(st.integers(0, 2), st.floats(0.0, 3.6)), min_size=5, max_size=5
+        )
+    )
+    buffer = react_buffer(
+        draw(st.floats(0.0, 3.6)),
+        banks,
+        next_poll=draw(st.floats(0.0, 0.5)),
+        totals=[
+            # Totals near zero keep every addend's last bit visible.
+            draw(st.sampled_from((0.0, 1e-9, 1e-3, 1.0))) * fraction
+            for fraction in draw(
+                st.lists(st.floats(0.0, 1.0), min_size=13, max_size=13)
+            )
+        ],
+    )
+    on = draw(st.booleans())
+    args = (
+        draw(st.floats(0.0, 0.05)),  # delivered power
+        draw(st.floats(0.0, 0.01)),  # load current
+        draw(st.sampled_from((0.001, 0.01, 0.02, 0.1))),
+        draw(st.floats(0.0, 1.0)),  # start time
+        draw(st.integers(0, 300)),
+    )
+    voltage = st.floats(0.0, 4.0)
+    bounds = dict(
+        stop_above=draw(optional(voltage)), stop_below=draw(optional(voltage))
+    )
+    if on:
+        bounds["brownout_floor"] = draw(optional(voltage))
+        bounds["wake_energy"] = draw(optional(st.floats(0.0, 0.2)))
+    else:
+        bounds["drain_floor"] = draw(optional(voltage))
+    return buffer, on, args, bounds
+
+
+class TestFusedReplay:
+    """``ReactBuffer.fast_forward[_on]`` is the generic hook loop, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=replay_cases())
+    def test_matches_the_generic_loop(self, case):
+        buffer, on, args, bounds = case
+        replay_both(buffer, on, *args, **bounds)
+
+    def test_segment_ended_by_stop_above(self):
+        buffer = react_buffer(3.0)
+        energy = 0.01 * 0.01
+        steps, _ = replay_both(
+            buffer, False, 0.01, 0.0, 0.01, 0.0, 10_000, stop_above=3.3
+        )
+        assert 0 < steps < 10_000
+        assert buffer.post_harvest_voltage_bound(energy) >= 3.3
+
+    def test_segment_ended_by_stop_below(self):
+        buffer = react_buffer(3.0, next_poll=math.inf)
+        steps, _ = replay_both(
+            buffer, True, 0.0, 5e-3, 0.01, 0.0, 10_000, stop_below=2.5
+        )
+        assert 0 < steps < 10_000
+        assert buffer.output_voltage < 2.5
+
+    def test_segment_ended_by_brownout_floor(self):
+        buffer = react_buffer(2.2)
+        steps, _ = replay_both(
+            buffer, True, 0.0, 5e-3, 0.01, 0.0, 10_000, brownout_floor=1.95
+        )
+        assert 0 < steps < 10_000
+        assert buffer.output_voltage <= 1.95
+
+    def test_segment_ended_by_wake_energy(self):
+        buffer = react_buffer(3.0, banks=[(2, 3.0), (1, 3.0)])
+        wake = buffer.usable_energy() + 0.01
+        steps, _ = replay_both(
+            buffer, True, 0.02, 1e-3, 0.01, 0.0, 10_000, wake_energy=wake
+        )
+        assert 0 < steps < 10_000
+        assert buffer.usable_energy() + 2.0 * 0.02 * 0.01 >= wake
+
+    def test_segment_ended_by_drain_floor(self):
+        buffer = react_buffer(3.0, banks=[(0, 0.0)] * 4 + [(2, 3.5)])
+        steps, _ = replay_both(
+            buffer, False, 0.0, 1e-3, 0.01, 0.0, 10_000, drain_floor=3.3
+        )
+        assert 1 < steps < 10_000
+        assert buffer.output_voltage < 3.3
+        assert not buffer.can_reach_voltage(3.3)
+
+    def test_segment_ended_by_max_steps(self):
+        buffer = react_buffer(2.5, banks=[(1, 2.5)])
+        steps, _ = replay_both(buffer, True, 1e-3, 1e-4, 0.01, 0.0, 50)
+        assert steps == 50
+        assert buffer.controller.poll_count > 0
+
+    def test_poll_steps_a_bank_up_mid_segment(self):
+        buffer = react_buffer(3.45, banks=[(1, 3.45)], next_poll=0.05)
+        steps, _ = replay_both(buffer, True, 0.02, 1e-3, 0.01, 0.0, 200)
+        assert steps == 200
+        assert buffer.controller.step_up_count > 0
+
+    def test_poll_steps_a_bank_down_mid_segment(self):
+        buffer = react_buffer(2.0, banks=[(2, 2.0)], next_poll=0.1)
+        steps, _ = replay_both(
+            buffer, True, 0.0, 2e-3, 0.01, 0.0, 200, brownout_floor=1.8
+        )
+        assert buffer.controller.step_down_count > 0
+        assert steps > 11
+
+    @pytest.mark.parametrize("on", [False, True])
+    @pytest.mark.parametrize("variant", ["not_batch_exact", "custom_leakage"])
+    def test_other_buffers_take_the_generic_loop(self, monkeypatch, variant, on):
+        if variant == "not_batch_exact":
+            buffer = react_buffer(3.0, banks=[(2, 3.0)], buffer_class=HookDriven)
+        else:
+            buffer = react_buffer(3.0, banks=[(2, 3.0)])
+            buffer.hardware.banks[1].leakage = CustomLeakage(1e-6)
+        assert buffer.batch_key() is None
+
+        def fused(*args):
+            raise AssertionError("the fused replay ran")
+
+        monkeypatch.setattr(react_adapter, "replay_segment", fused)
+        steps, _ = replay_both(buffer, on, 5e-3, 1e-3, 0.01, 0.0, 100)
+        assert steps == 100
+
+
+class HookDriven(ReactBuffer):
+    """A subclass that does not vouch for its hooks."""
+
+    batch_exact = False
+
+
+class CustomLeakage(ConstantCurrentLeakage):
+    """A leakage model the replay does not know."""

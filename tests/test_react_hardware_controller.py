@@ -1,5 +1,8 @@
 """REACT hardware fabric, software controller, and the buffer adapter."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.buffers.react_adapter import ReactBuffer
@@ -251,6 +254,16 @@ class TestReactBufferAdapter:
         bank.connect_series()
         bank.set_cell_voltage(1.2)  # output 3.6 V
         assert buffer.can_reach_voltage(3.3)
+
+    def test_copies_report_usable_energy(self):
+        buffer = ReactBuffer(config=small_config())
+        bank = buffer.hardware.banks[0]
+        bank.connect_series()
+        bank.set_cell_voltage(1.0)
+        expected = buffer.usable_energy()
+        assert expected > 0.0
+        assert copy.deepcopy(buffer).usable_energy() == expected
+        assert pickle.loads(pickle.dumps(buffer)).usable_energy() == expected
 
     def test_ledger_tracks_housekeeping_losses(self):
         buffer = ReactBuffer(config=small_config())
