@@ -16,9 +16,9 @@ backend, and the fast-path engine must agree with the step-by-step engine,
 all exactly (``tests/oracle.py``).  (Timing ratios depend on the host's
 core count — on a single-core CI runner the worker pools cannot win — so
 all pool ratios are recorded, not asserted; the single-core Morphy batch
-speedup and the mixed-grid fast-path speedup carry the positive
-assertions, the static batch sweep keeps a pathological-regression
-floor, and the REACT batch sweep pins its exact lockstep work instead.)
+speedup carries the positive assertion, the static batch sweep keeps a
+pathological-regression floor, the REACT batch sweep pins its exact
+lockstep work, and the mixed grid pins its exact scalar replay work.)
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from collections import Counter
 import numpy as np
 
 from benchmarks.conftest import record_sweep_metrics, run_once
+from repro.buffers.base import EnergyBuffer
 from repro.buffers.morphy import MorphyBuffer
 from repro.buffers.react_adapter import ReactBuffer
 from repro.buffers.react_batch import ReactBatchKernel
@@ -156,15 +157,68 @@ MIXED_GRID_WORKLOADS = ("RT", "PF")
 MIXED_GRID_TRACES = ("RF Cart", "Solar Campus")
 
 
-def test_bench_mixed_grid_react_heavy_sweep(benchmark, bench_settings):
+def count_buffer_fast_forwards(monkeypatch) -> Counter:
+    """Count the scalar whole-segment replays of every buffer class.
+
+    Wraps ``fast_forward`` and ``fast_forward_on`` on
+    :class:`~repro.buffers.base.EnergyBuffer` and on every subclass that
+    defines its own.  Only the outermost call counts (a subclass handing a
+    segment to the generic loop through ``super()`` is one replay): the
+    returned counter fills in ``off_calls`` / ``on_calls`` and the committed
+    ``off_steps`` / ``on_steps``.  None of them depends on the host, so a
+    test can pin them exactly.
+    """
+    counts = Counter()
+    depth = []
+
+    def counted(method, phase):
+        def replay(buffer, *args, **kwargs):
+            depth.append(phase)
+            try:
+                steps, end_time = method(buffer, *args, **kwargs)
+            finally:
+                depth.pop()
+            if not depth:
+                counts[f"{phase}_calls"] += 1
+                counts[f"{phase}_steps"] += steps
+            return steps, end_time
+
+        return replay
+
+    classes = [EnergyBuffer]
+    for cls in classes:
+        classes.extend(cls.__subclasses__())
+    for cls in classes:
+        for attr, phase in (("fast_forward", "off"), ("fast_forward_on", "on")):
+            if attr in vars(cls):
+                monkeypatch.setattr(cls, attr, counted(vars(cls)[attr], phase))
+    return counts
+
+
+#: The deterministic scalar fast-path work of the mixed grid's fast run
+#: (see :func:`count_buffer_fast_forwards`).  Each count moves if the
+#: engine stops replaying whole segments (``fast_forward=False``) or the
+#: workloads stop promising quiescence (no hints: fewer, shorter on-phase
+#: replays).
+MIXED_GRID_FAST_FORWARDS = {
+    "off_calls": 2430,
+    "off_steps": 11_062,
+    "on_calls": 5796,
+    "on_steps": 320_396,
+}
+
+
+def test_bench_mixed_grid_react_heavy_sweep(benchmark, bench_settings, monkeypatch):
     """Serial throughput on the REACT-heavy mixed grid.
 
     This is the committed perf trajectory for the on-phase fast path: the
     full buffer column (REACT cells run scalar and dominate) under RT/PF,
     timed with every fast path enabled against the step-by-step engine.
-    Correctness gates the test (exact results against the oracle); the
-    speedup is asserted at the 1.3× floor the quiescence protocol is
-    expected to clear on this shape (locally ~1.6×).
+    Correctness gates the test (exact results against the oracle), and so
+    does the fast run's deterministic scalar replay work, pinned exactly in
+    :data:`MIXED_GRID_FAST_FORWARDS`.  The speedup over the step-by-step
+    engine is recorded, not asserted: a single-sample wall-clock ratio is a
+    measurement, not an invariant.
     """
     fast_runner = ExperimentRunner(bench_settings)
     step_runner = ExperimentRunner(
@@ -177,6 +231,7 @@ def test_bench_mixed_grid_react_heavy_sweep(benchmark, bench_settings):
     )
     step_by_step_seconds = time.perf_counter() - started
 
+    work = count_buffer_fast_forwards(monkeypatch)
     started = time.perf_counter()
     fast = run_once(
         benchmark,
@@ -185,6 +240,7 @@ def test_bench_mixed_grid_react_heavy_sweep(benchmark, bench_settings):
         trace_names=MIXED_GRID_TRACES,
     )
     fast_seconds = time.perf_counter() - started
+    work = dict(work)
 
     assert_sweeps_equivalent(step_by_step, fast)
 
@@ -195,11 +251,9 @@ def test_bench_mixed_grid_react_heavy_sweep(benchmark, bench_settings):
     )
     benchmark.extra_info["serial_seconds"] = round(fast_seconds, 3)
     benchmark.extra_info["fast_path_speedup"] = round(speedup, 3)
+    benchmark.extra_info["work"] = work
     record_sweep_metrics("mixed_grid_react_heavy", benchmark.extra_info)
-    assert speedup >= 1.3, (
-        f"on-phase fast forwarding should clear 1.3x on the REACT-heavy "
-        f"mixed grid, got {speedup:.2f}x"
-    )
+    assert work == MIXED_GRID_FAST_FORWARDS
 
 
 def test_bench_batched_capacitance_sweep(benchmark, bench_settings):

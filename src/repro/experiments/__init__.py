@@ -6,9 +6,9 @@ infrastructure so the buffer set, traces, and workload parameters are
 identical across tables, exactly as in the paper's methodology, and all
 grid execution flows through the pluggable backend API
 (:mod:`repro.experiments.backends`): describe the grid once, pick
-``--backend serial|pool|batch|pool+batch`` (or register your own), wrapped
-as ``[cached:][remote:]<backend>`` when you want the result store or the
-worker fleet.  :func:`repro.experiments.sweep` is the public one-call
+``--backend serial|pool|batch|pool+batch``, wrapped as
+``[cached:][remote:]<backend>`` when you want the result store or the
+worker fleet, or pass your own backend instance.  :func:`repro.experiments.sweep` is the public one-call
 surface over both.
 
 Run everything from the command line::
@@ -28,7 +28,6 @@ from repro.experiments.backends import (
     SerialBackend,
     available_backends,
     execute_run_spec,
-    register_backend,
     resolve_backend,
 )
 from repro.experiments.store import (
@@ -84,7 +83,6 @@ __all__ = [
     "PoolBatchBackend",
     "RunSpec",
     "execute_run_spec",
-    "register_backend",
     "resolve_backend",
     "available_backends",
     # result store

@@ -44,10 +44,11 @@ class SweepResult:
     """What a sweep ran (``specs``) and what came back (``results``).
 
     ``specs[i]`` describes the grid cell that produced ``results[i]``;
-    ``backend`` is the registry name (or class name) of the backend that
-    executed the grid.  ``cache_stats`` carries the result store's hit/miss
-    delta for this run when a memoizing ``cached:`` backend executed it
-    (``None`` otherwise).  Iterating yields ``(spec, result)`` pairs.
+    ``backend`` is the name (or, for an instance without one, the class
+    name) of the backend that executed the grid.  ``cache_stats`` carries
+    the result store's hit/miss delta for this run when a memoizing
+    ``cached:`` backend executed it (``None`` otherwise).  Iterating yields
+    ``(spec, result)`` pairs.
     """
 
     specs: List[RunSpec]
@@ -73,11 +74,13 @@ def sweep(
 ) -> SweepResult:
     """Run a (workload × trace × buffer) grid through an execution backend.
 
-    ``backend`` is a registry name (``serial``, ``pool``, ``batch``,
-    ``pool+batch``, or anything registered via
-    :func:`~repro.experiments.backends.register_backend`) or a ready
-    :class:`~repro.experiments.backends.ExecutionBackend` instance;
-    ``None`` resolves from ``settings`` the same way the CLI does.
+    ``backend`` is a backend name (one of
+    :func:`~repro.experiments.backends.available_backends`: ``serial``,
+    ``pool``, ``batch``, ``pool+batch`` and their ``[cached:][remote:]``
+    compositions) or a ready
+    :class:`~repro.experiments.backends.ExecutionBackend` instance, which is
+    how a backend from outside the tree plugs in; ``None`` resolves from
+    ``settings`` the same way the CLI does.
     """
     settings = settings if settings is not None else ExperimentSettings()
     runner = ExperimentRunner(settings, buffer_factory=buffer_factory, backend=backend)

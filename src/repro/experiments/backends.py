@@ -24,18 +24,18 @@ matter how execution is scheduled.  Four backends ship in-tree:
     shard, and each worker process runs its shard through the batch
     backend — the process-pool speedup multiplied by the lockstep speedup.
 
-Backends are looked up by name in a string-keyed registry
-(:func:`register_backend` / :func:`resolve_backend`), so a new execution
-strategy plugs in without touching the runner: register a factory under a
-new name and ``--backend <name>`` reaches it.  Every plain registered name
-``X`` also composes under the fixed grammar ``[cached:][remote:]X``:
-``cached:`` puts the memoizing
+:func:`resolve_backend` builds a backend from its name.  The four names
+above are the plain ones (the fixed :data:`PLAIN_BACKENDS` table), and
+each plain name ``X`` also composes under the fixed grammar
+``[cached:][remote:]X``: ``cached:`` puts the memoizing
 :class:`~repro.experiments.store.CachedBackend` in front of its inner
 backend, ``remote:`` dispatches through the coordinator/worker transport
 :class:`~repro.experiments.remote.RemoteBackend`, and
 ``cached:remote:serial`` checks the store before any worker is spawned.
 Any other nesting (``remote:remote:serial``, ``cached:cached:serial``) is
-rejected with the list of valid names.
+rejected with the list of valid names.  An execution strategy from outside
+the tree plugs in as an instance, through ``sweep(backend=...)`` or
+``ExperimentRunner(backend=...)``.
 
 Grouping metadata travels on the specs themselves: ``RunSpec.trace_name``
 (together with the spec's settings, which fix the trace's fidelity) is the
@@ -56,11 +56,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import (
     Callable,
     Dict,
     Hashable,
     List,
+    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -147,7 +149,7 @@ class ExecutionBackend(Protocol):
     for backends whose cells complete interleaved (lockstep batches).
     """
 
-    #: Registry-facing identity, e.g. ``"pool+batch"``.
+    #: The backend's name, e.g. ``"pool+batch"``.
     name: str
 
     def run_specs(
@@ -296,16 +298,6 @@ def _split_evenly(items: List[int], chunks: int) -> List[List[int]]:
     return out
 
 
-def shard_floor(specs: Sequence[RunSpec], shard: Sequence[int]) -> int:
-    """The narrowest piece ``shard`` may split into: its kernel's lane floor.
-
-    A lane shard's cells share one kernel, so its first cell answers; a
-    cell that cannot batch has a floor of one.
-    """
-    spec = specs[shard[0]]
-    return lane_floor(spec.build_buffer()) or 1
-
-
 def plan_shards(specs: Sequence[RunSpec], workers: int) -> List[Tuple[int, ...]]:
     """Spec indices cut into shards along :func:`partition_batchable` lines.
 
@@ -319,11 +311,16 @@ def plan_shards(specs: Sequence[RunSpec], workers: int) -> List[Tuple[int, ...]]
     the workers.  Shards come back in spec order, and so do the indices
     inside each shard.
     """
-    lane_groups, singles = partition_batchable(specs)
+    supplies: Dict[Callable[[], List[EnergyBuffer]], _BufferSupply] = {}
+    lane_groups, singles = partition_batchable(specs, supplies)
     shards = [(index,) for index in singles]
     chunks_per_group = max(1, workers // max(1, len(lane_groups)))
     for group in lane_groups:
-        chunks = min(chunks_per_group, len(group) // shard_floor(specs, group))
+        # A lane group's cells share one kernel, so its first cell's floor
+        # is the group's.
+        first = specs[group[0]]
+        _, floor = _supply_for(supplies, first).kernel(first.buffer_index)
+        chunks = min(chunks_per_group, len(group) // floor)
         shards.extend(tuple(piece) for piece in _split_evenly(group, chunks))
     return sorted(shards)
 
@@ -525,96 +522,6 @@ class PoolBatchBackend:
         return results
 
 
-# --------------------------------------------------------------------------
-# Registry
-# --------------------------------------------------------------------------
-
-#: A factory builds a backend from the sweep's settings (pool widths etc.).
-BackendFactory = Callable[[ExperimentSettings], ExecutionBackend]
-
-_REGISTRY: Dict[str, BackendFactory] = {}
-
-
-def register_backend(
-    name: str,
-    factory: Optional[BackendFactory] = None,
-    *,
-    replace: bool = False,
-):
-    """Register ``factory`` under ``name`` (usable as a decorator).
-
-    This is the extension point for out-of-tree execution strategies: a
-    remote/sharded dispatch backend registers a factory here and becomes
-    reachable through ``--backend <name>`` and
-    :attr:`ExperimentSettings.backend` without any runner changes.
-    """
-    if factory is None:
-        return lambda wrapped: register_backend(name, wrapped, replace=replace)
-    if not replace and name in _REGISTRY:
-        raise ConfigurationError(
-            f"execution backend {name!r} is already registered "
-            "(pass replace=True to override)"
-        )
-    _REGISTRY[name] = factory
-    return factory
-
-
-def unregister_backend(name: str) -> None:
-    """Remove ``name`` from the registry (no-op if absent)."""
-    _REGISTRY.pop(name, None)
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Every reachable backend name, sorted.
-
-    The registered names plus, for each plain one ``X`` (headed by neither
-    ``cached:`` nor ``remote:``), its three compositions ``remote:X``,
-    ``cached:X`` and ``cached:remote:X``: the whole
-    ``[cached:][remote:]<backend>`` grammar.
-    """
-    names = set(_REGISTRY)
-    for name in _REGISTRY:
-        if not name.startswith((CACHED_PREFIX, REMOTE_PREFIX)):
-            names.add(REMOTE_PREFIX + name)
-            names.add(CACHED_PREFIX + name)
-            names.add(CACHED_PREFIX + REMOTE_PREFIX + name)
-    return tuple(sorted(names))
-
-
-def resolve_backend(
-    name: str, settings: Optional[ExperimentSettings] = None
-) -> ExecutionBackend:
-    """Build the backend registered under ``name`` for ``settings``.
-
-    A registered name always wins.  Any other name must be one of the
-    compositions :func:`available_backends` lists: ``cached:<inner>``
-    resolves to a :class:`~repro.experiments.store.CachedBackend` and
-    ``remote:<inner>`` to a :class:`~repro.experiments.remote.RemoteBackend`.
-    """
-    if settings is None:
-        settings = ExperimentSettings()
-    factory = _REGISTRY.get(name)
-    if factory is not None:
-        return factory(settings)
-    names = available_backends()
-    if name not in names:
-        raise ConfigurationError(
-            f"unknown execution backend {name!r}; names take the form "
-            "[cached:][remote:]<backend>, where cached:<inner> wraps a plain or "
-            "remote: backend and remote:<inner> a plain one; registered "
-            "backends: " + ", ".join(names)
-        )
-    if name.startswith(CACHED_PREFIX):
-        # Imported lazily: store.py imports this module at the top level.
-        from repro.experiments.store import cached_backend_from_settings
-
-        return cached_backend_from_settings(name, settings)
-    # Imported lazily: the remote subpackage imports this module.
-    from repro.experiments.remote import remote_backend_from_settings
-
-    return remote_backend_from_settings(name, settings)
-
-
 def _pool_width(settings: ExperimentSettings) -> int:
     """Worker count for pool-style backends: ``--workers``, else the host.
 
@@ -627,13 +534,60 @@ def _pool_width(settings: ExperimentSettings) -> int:
     return os.cpu_count() or 2
 
 
-register_backend("serial", lambda settings: SerialBackend())
-register_backend(
-    "pool", lambda settings: ProcessPoolBackend(workers=_pool_width(settings))
-)
-register_backend("batch", lambda settings: BatchBackend())
-register_backend(
-    "pool+batch",
-    lambda settings: PoolBatchBackend(workers=_pool_width(settings)),
+#: The four plain backend names and how each builds from a sweep's settings.
+PLAIN_BACKENDS: Mapping[str, Callable[[ExperimentSettings], ExecutionBackend]] = (
+    MappingProxyType(
+        {
+            "serial": lambda settings: SerialBackend(),
+            "pool": lambda settings: ProcessPoolBackend(workers=_pool_width(settings)),
+            "batch": lambda settings: BatchBackend(),
+            "pool+batch": lambda settings: PoolBatchBackend(
+                workers=_pool_width(settings)
+            ),
+        }
+    )
 )
 
+
+def available_backends() -> Tuple[str, ...]:
+    """Every valid backend name, sorted.
+
+    Each plain name ``X`` and its three compositions ``remote:X``,
+    ``cached:X`` and ``cached:remote:X``: the whole
+    ``[cached:][remote:]<backend>`` grammar.
+    """
+    heads = ("", REMOTE_PREFIX, CACHED_PREFIX, CACHED_PREFIX + REMOTE_PREFIX)
+    return tuple(sorted(head + name for name in PLAIN_BACKENDS for head in heads))
+
+
+def resolve_backend(
+    name: str, settings: Optional[ExperimentSettings] = None
+) -> ExecutionBackend:
+    """Build the backend ``name`` names for ``settings``.
+
+    ``name`` must be one of :func:`available_backends`: a plain name builds
+    its in-tree backend, ``cached:<inner>`` a
+    :class:`~repro.experiments.store.CachedBackend` and ``remote:<inner>`` a
+    :class:`~repro.experiments.remote.RemoteBackend`.
+    """
+    if settings is None:
+        settings = ExperimentSettings()
+    names = available_backends()
+    if name not in names:
+        raise ConfigurationError(
+            f"unknown execution backend {name!r}; names take the form "
+            "[cached:][remote:]<backend>, where cached:<inner> wraps a plain or "
+            "remote: backend and remote:<inner> a plain one; valid names: "
+            + ", ".join(names)
+        )
+    if name in PLAIN_BACKENDS:
+        return PLAIN_BACKENDS[name](settings)
+    if name.startswith(CACHED_PREFIX):
+        # Imported lazily: store.py imports this module at the top level.
+        from repro.experiments.store import cached_backend_from_settings
+
+        return cached_backend_from_settings(name, settings)
+    # Imported lazily: the remote subpackage imports this module.
+    from repro.experiments.remote import remote_backend_from_settings
+
+    return remote_backend_from_settings(name, settings)

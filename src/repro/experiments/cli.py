@@ -8,8 +8,9 @@ Examples::
     react-repro list                                 # show available experiments
 
 Grid execution is selected with ``--backend`` (``serial``, ``pool``,
-``batch``, ``pool+batch``, plus anything registered via
-:func:`repro.experiments.backends.register_backend`).  ``--workers`` sets
+``batch``, ``pool+batch``, or one of their ``[cached:][remote:]``
+compositions; :func:`repro.experiments.backends.available_backends` lists
+every valid name).  ``--workers`` sets
 the pool width for the pool-style backends and selects nothing on its
 own: without ``--backend`` a sweep runs serially.  ``--cache-dir DIR``
 memoizes sweep results in a content-addressed store under ``DIR``

@@ -5,11 +5,11 @@ The coordinator turns a grid of
 queue of *shards* and serves them to whatever workers connect:
 
 1. **Shard planning** is :func:`~repro.experiments.backends.plan_shards`,
-   the same plan ``pool+batch`` executes: a lane shard's specs share one
-   trace and one lockstep kernel, so a worker running ``--inner batch``
-   batches exactly what the in-process batch backend would, and every
-   other cell is a one-cell shard.  Once shards complete, still-pending
-   wide shards are re-split from the observed per-cell wall-clock.
+   the same plan ``pool+batch`` executes, and the only one: shards are
+   fixed before the first dispatch.  A lane shard's specs share one trace
+   and one lockstep kernel, so under ``remote:batch`` a worker batches
+   exactly what the in-process batch backend would, and every other cell
+   is a one-cell shard.
 2. **Dispatch** hands each shard to an idle worker; workers register by
    connecting to the coordinator's TCP socket (spawned locally via
    :class:`~repro.experiments.remote.launcher.LocalWorkerPool` and/or
@@ -44,14 +44,11 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, SweepTransportError
 from repro.experiments.backends import (
-    CACHED_PREFIX,
+    PLAIN_BACKENDS,
     REMOTE_PREFIX,
     ProgressCallback,
     RunSpec,
-    _split_evenly,
-    available_backends,
     plan_shards,
-    shard_floor,
 )
 from repro.experiments.remote import protocol
 from repro.experiments.remote.launcher import LocalWorkerPool
@@ -69,24 +66,12 @@ DEFAULT_LOCAL_WORKERS = 2
 #: simulation; pass ``shard_timeout=None`` to disable the deadline.
 DEFAULT_SHARD_TIMEOUT = 900.0
 
-
-#: Default wall-clock a single shard should aim for once the per-cell cost
-#: is known (see ``RemoteBackend(shard_target_seconds=...)``).  Small enough
-#: that one straggler shard cannot serialize the drain of a sweep whose
-#: cells turned out heavy, large enough that dispatch overhead stays noise.
-DEFAULT_SHARD_TARGET_SECONDS = 30.0
-
-
 @dataclass
 class _Shard:
-    """One unit of dispatch: one :func:`plan_shards` shard, or a piece of one.
-
-    The retune never splits it into pieces narrower than ``floor``.
-    """
+    """One unit of dispatch: one :func:`plan_shards` shard."""
 
     shard_id: int
     indices: Tuple[int, ...]
-    floor: int
     attempts: int = 0
     done: bool = False
     last_error: Optional[str] = None
@@ -97,7 +82,6 @@ class RemoteReport:
     """What one remote sweep did, for logging, tests, and debugging."""
 
     shards_total: int = 0
-    shard_splits: int = 0
     workers_connected: int = 0
     workers_lost: int = 0
     dispatches: int = 0
@@ -169,21 +153,15 @@ class RemoteBackend:
         listen: Optional[Tuple[str, int]] = None,
         *,
         shard_timeout: Optional[float] = DEFAULT_SHARD_TIMEOUT,
-        shard_target_seconds: Optional[float] = DEFAULT_SHARD_TARGET_SECONDS,
         heartbeat_timeout: float = 20.0,
         max_shard_retries: int = 2,
         worker_timeout: float = 60.0,
-        verbose_workers: bool = False,
     ) -> None:
-        if not inner or inner.startswith((CACHED_PREFIX, REMOTE_PREFIX)):
+        if inner not in PLAIN_BACKENDS:
             raise ConfigurationError(
                 f"remote workers execute a plain local backend; cannot use "
-                f"{inner!r} as the inner backend of {REMOTE_PREFIX}<inner>"
-            )
-        if inner not in available_backends():
-            raise ConfigurationError(
-                f"unknown inner backend {inner!r} for {REMOTE_PREFIX}<inner>; "
-                "registered backends: " + ", ".join(available_backends())
+                f"{inner!r} as the inner backend of {REMOTE_PREFIX}<inner> "
+                "(plain backends: " + ", ".join(PLAIN_BACKENDS) + ")"
             )
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
@@ -192,20 +170,13 @@ class RemoteBackend:
                 "a remote backend with no local workers needs a listen "
                 "address for external workers to connect to"
             )
-        if shard_target_seconds is not None and shard_target_seconds <= 0.0:
-            raise ConfigurationError(
-                f"shard_target_seconds must be positive (or None to keep "
-                f"the initial shard plan), got {shard_target_seconds}"
-            )
         self.inner = inner
         self.workers = workers
         self.listen = listen
         self.shard_timeout = shard_timeout
-        self.shard_target_seconds = shard_target_seconds
         self.heartbeat_timeout = heartbeat_timeout
         self.max_shard_retries = max_shard_retries
         self.worker_timeout = worker_timeout
-        self.verbose_workers = verbose_workers
         self.name = REMOTE_PREFIX + inner
         self.last_run_report: Optional[RemoteReport] = None
         #: The in-flight :class:`_Coordinator` while ``run_specs`` runs —
@@ -240,17 +211,13 @@ class _Coordinator:
         self.backend = backend
         self.specs = specs
         self.shards = [
-            _Shard(shard_id, indices, shard_floor(specs, indices))
+            _Shard(shard_id, indices)
             for shard_id, indices in enumerate(
                 plan_shards(specs, backend.workers or 1)
             )
         ]
         self.shard_by_id = {shard.shard_id: shard for shard in self.shards}
         self.pending: deque = deque(self.shards)
-        self._next_shard_id = len(self.shards)
-        #: EWMA of observed per-cell wall-clock, seeded by the first
-        #: completed shard; drives the pending-shard retune.
-        self._per_cell_seconds: Optional[float] = None
         self.results: List[Optional[SimulationResult]] = [None] * len(specs)
         self.completed = 0
         self.events: "queue.Queue[tuple]" = queue.Queue()
@@ -285,9 +252,7 @@ class _Coordinator:
         try:
             if self.backend.workers > 0:
                 self.pool = LocalWorkerPool(
-                    self.backend.workers,
-                    ("127.0.0.1", bound[1]),
-                    verbose=self.backend.verbose_workers,
+                    self.backend.workers, ("127.0.0.1", bound[1])
                 )
             self._loop()
         finally:
@@ -497,76 +462,6 @@ class _Coordinator:
             self.completed,
             len(self.shards),
         )
-        self._observe_shard_cost(shard, message.wall_seconds)
-
-    def _observe_shard_cost(self, shard: _Shard, wall_seconds: float) -> None:
-        """Fold one completed shard into the per-cell wall-clock estimate."""
-        if self.backend.shard_target_seconds is None or wall_seconds <= 0.0:
-            return
-        per_cell = wall_seconds / max(1, len(shard.indices))
-        if self._per_cell_seconds is None:
-            self._per_cell_seconds = per_cell
-        else:
-            # Equal-weight EWMA: recent shards dominate, so an estimate
-            # seeded by an unrepresentative first shard keeps correcting.
-            self._per_cell_seconds = 0.5 * self._per_cell_seconds + 0.5 * per_cell
-        self._retune_pending()
-
-    def _retune_pending(self) -> None:
-        """Re-split never-dispatched shards toward the target wall-clock.
-
-        :func:`plan_shards` sizes lane shards from lane counts and the
-        worker count alone, whatever the per-cell cost; once completed
-        shards reveal how expensive a cell actually is, any pending shard
-        predicted to run well past ``shard_target_seconds`` is split down —
-        never below its own kernel's lane floor, and a one-cell shard never
-        splits — so stragglers shrink, workers stay balanced through the
-        drain, and a requeued retry re-runs less work.  Shards that already
-        dispatched once keep their identity: splitting them would reset the
-        per-shard retry ledger.
-        """
-        per_cell = self._per_cell_seconds
-        target = self.backend.shard_target_seconds
-        if per_cell is None or target is None or per_cell <= 0.0:
-            return
-        limit = max(1, int(target / per_cell))
-        retuned: deque = deque()
-        for shard in self.pending:
-            chunks = 1
-            if shard.attempts == 0 and len(shard.indices) > max(limit, shard.floor):
-                chunks = min(
-                    -(-len(shard.indices) // limit),  # ceil → pieces near target
-                    len(shard.indices) // shard.floor,
-                )
-            if chunks <= 1:
-                retuned.append(shard)
-                continue
-            del self.shard_by_id[shard.shard_id]
-            self.shards.remove(shard)
-            pieces = _split_evenly(list(shard.indices), chunks)
-            for piece in pieces:
-                replacement = _Shard(
-                    shard_id=self._next_shard_id,
-                    indices=tuple(piece),
-                    floor=shard.floor,
-                )
-                self._next_shard_id += 1
-                self.shards.append(replacement)
-                self.shard_by_id[replacement.shard_id] = replacement
-                retuned.append(replacement)
-            self.report.shard_splits += 1
-            log.info(
-                "retuned shard %d (%d specs ≈ %.1fs at %.3fs/cell) into %d "
-                "shards of ~%d specs",
-                shard.shard_id,
-                len(shard.indices),
-                len(shard.indices) * per_cell,
-                per_cell,
-                len(pieces),
-                max(len(piece) for piece in pieces),
-            )
-        self.pending = retuned
-        self.report.shards_total = len(self.shards)
 
     def _shard_failed(
         self, handle: _WorkerHandle, message: protocol.ShardFailure

@@ -20,17 +20,12 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 log = logging.getLogger("repro.remote.launcher")
 
 
-def worker_command(
-    address: Tuple[str, int],
-    inner: Optional[str] = None,
-    heartbeat_interval: Optional[float] = None,
-    verbose: bool = False,
-) -> List[str]:
+def worker_command(address: Tuple[str, int], verbose: bool = False) -> List[str]:
     """The argv that starts one worker process against ``address``."""
     command = [
         sys.executable,
@@ -39,10 +34,6 @@ def worker_command(
         "--connect",
         f"{address[0]}:{address[1]}",
     ]
-    if inner is not None:
-        command += ["--inner", inner]
-    if heartbeat_interval is not None:
-        command += ["--heartbeat", str(heartbeat_interval)]
     if verbose:
         command.append("--verbose")
     return command
@@ -51,15 +42,7 @@ def worker_command(
 class LocalWorkerPool:
     """``count`` localhost worker subprocesses connected to one coordinator."""
 
-    def __init__(
-        self,
-        count: int,
-        address: Tuple[str, int],
-        *,
-        inner: Optional[str] = None,
-        heartbeat_interval: Optional[float] = None,
-        verbose: bool = False,
-    ) -> None:
+    def __init__(self, count: int, address: Tuple[str, int]) -> None:
         import repro
 
         env = dict(os.environ)
@@ -68,12 +51,7 @@ class LocalWorkerPool:
         env["PYTHONPATH"] = (
             package_parent if not existing else package_parent + os.pathsep + existing
         )
-        command = worker_command(
-            address,
-            inner=inner,
-            heartbeat_interval=heartbeat_interval,
-            verbose=verbose,
-        )
+        command = worker_command(address)
         self.processes: List[subprocess.Popen] = [
             subprocess.Popen(command, env=env) for _ in range(count)
         ]

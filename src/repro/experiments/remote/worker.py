@@ -2,9 +2,9 @@
 
 A :class:`SweepWorker` connects to a coordinator, announces itself, and
 then loops: receive a :class:`~repro.experiments.remote.protocol.ShardAssignment`,
-execute its specs through a *local* inner backend (``serial`` by default,
-``batch`` for lockstep-friendly shards — the coordinator names the inner
-in each assignment), and stream the shard's results back in shard order.
+execute its specs through the *local* inner backend the assignment names
+(``inner`` of the coordinator's ``remote:<inner>`` backend name), and
+stream the shard's results back in shard order.
 A background thread heartbeats on the same socket so a stalled-but-alive
 worker is distinguishable from a dead one.
 
@@ -47,26 +47,18 @@ DEFAULT_HEARTBEAT_INTERVAL = 1.0
 
 
 class SweepWorker:
-    """One worker process: connect, execute assigned shards, stream results.
-
-    ``inner_override`` forces every shard through the named local backend
-    regardless of what the coordinator assigned — useful for pinning a
-    fleet to ``batch`` on big-memory hosts; ``None`` (the default) follows
-    the per-shard assignment.
-    """
+    """One worker process: connect, execute assigned shards, stream results."""
 
     def __init__(
         self,
         host: str,
         port: int,
         *,
-        inner_override: Optional[str] = None,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         connect_timeout: float = 30.0,
     ) -> None:
         self.host = host
         self.port = port
-        self.inner_override = inner_override
         self.heartbeat_interval = heartbeat_interval
         self.connect_timeout = connect_timeout
         self.worker_id = f"{socket.gethostname()}:{os.getpid()}"
@@ -151,7 +143,7 @@ class SweepWorker:
             assignment.shard_id,
             len(assignment.specs),
             assignment.attempt,
-            self.inner_override or assignment.inner,
+            assignment.inner,
         )
         started = time.perf_counter()
         try:
@@ -206,9 +198,8 @@ class SweepWorker:
         from repro.experiments.store import CachedBackend, ResultStore
 
         specs = list(specs)
-        inner_name = self.inner_override or inner
         settings = specs[0].settings
-        backend = resolve_backend(inner_name, settings)
+        backend = resolve_backend(inner, settings)
         cache_dir = getattr(settings, "cache_dir", None)
         use_cache = getattr(settings, "use_cache", True)
         if cache_dir and use_cache and not isinstance(backend, CachedBackend):
@@ -234,14 +225,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="coordinator address to connect to",
     )
     parser.add_argument(
-        "--inner",
-        default=None,
-        help=(
-            "force every shard through this local backend instead of the "
-            "coordinator-assigned one (default: follow the assignment)"
-        ),
-    )
-    parser.add_argument(
         "--heartbeat",
         type=float,
         default=DEFAULT_HEARTBEAT_INTERVAL,
@@ -263,12 +246,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         host, port = protocol.parse_address(args.connect)
     except ValueError as error:
         parser.error(str(error))
-    worker = SweepWorker(
-        host,
-        port,
-        inner_override=args.inner,
-        heartbeat_interval=args.heartbeat,
-    )
+    worker = SweepWorker(host, port, heartbeat_interval=args.heartbeat)
     try:
         return worker.run()
     except (ConnectionError, OSError) as error:

@@ -108,14 +108,14 @@ class ExperimentSettings:
 
     @property
     def backend_name(self) -> str:
-        """The registry name execution resolves to.
+        """The backend name execution resolves to.
 
         :attr:`backend`, or ``serial`` when unset.  A configured
         :attr:`cache_dir` then wraps the choice in its memoizing ``cached:``
         variant, and ``use_cache=False`` strips that prefix instead.
         """
         base = self.backend or "serial"
-        # "cached:" is the store wrapper's registry prefix; runner.py sits
+        # "cached:" is the store wrapper's name prefix; runner.py sits
         # below backends.py in the import graph, so the literal lives here.
         if not self.use_cache:
             return base[len("cached:") :] if base.startswith("cached:") else base
@@ -178,7 +178,7 @@ class ExperimentRunner:
     :class:`~repro.experiments.backends.RunSpec`\\ s in the canonical serial
     iteration order (workload → trace → buffer).  *How* the specs execute
     is delegated to an :class:`~repro.experiments.backends.ExecutionBackend`
-    — ``backend`` may be a backend instance, a registry name, or ``None``
+    — ``backend`` may be a backend instance, a backend name, or ``None``
     to resolve from :attr:`ExperimentSettings.backend_name`.  Every backend
     returns the same results in the same order, so the choice is purely
     about throughput.

@@ -7,9 +7,9 @@ module makes that determinism pay: :class:`ResultStore` maps
 ``sha256(canonical RunSpec fingerprint + code-version salt)`` to a
 serialized :class:`~repro.sim.results.SimulationResult`, and
 :class:`CachedBackend` — reachable as ``cached:<inner>`` through the
-backend registry (``cached:serial``, ``cached:pool+batch``, …) — partitions
-a grid into hits (loaded from the store) and misses (delegated to the
-inner backend, then written back), preserving spec order.
+backend name grammar (``cached:serial``, ``cached:pool+batch``, …) —
+partitions a grid into hits (loaded from the store) and misses (delegated
+to the inner backend, then written back), preserving spec order.
 
 Cache keys are *content addresses*:
 

@@ -2,10 +2,11 @@
 
 Four contracts are pinned here:
 
-* **Registry round-trip** — backends are looked up by name, unknown names
-  fail with the registry contents, and an out-of-tree backend registers
-  and runs a grid without any runner changes (the seam the future
-  remote/sharded dispatch backend plugs into).
+* **Backend names** — the sixteen valid names of the
+  ``[cached:][remote:]<backend>`` grammar each resolve to a pinned class,
+  unknown names fail with the valid ones listed, and an out-of-tree
+  backend instance runs a grid through the runner without any runner
+  changes.
 * **`pool+batch` equivalence** — the composed backend runs the *full*
   quick-mode grid (every workload, trace, and buffer: static-kernel lanes
   shard into lockstep batches, and every cell of a group narrower than its
@@ -42,11 +43,11 @@ from repro.experiments.backends import (
     execute_spec_shard,
     partition_batchable,
     plan_shards,
-    register_backend,
     resolve_backend,
     trace_groups,
-    unregister_backend,
 )
+from repro.experiments.remote import RemoteBackend
+from repro.experiments.store import CachedBackend
 from repro.experiments.runner import ExperimentRunner, ExperimentSettings
 from repro.experiments import sweep
 from repro.sim.results import SimulationResult
@@ -149,34 +150,36 @@ class TestRegistry:
         for name in ("serial", "pool", "batch", "pool+batch"):
             assert name in message
 
-    def test_duplicate_registration_rejected_unless_replaced(self):
-        try:
-            register_backend("dup-test", lambda settings: SerialBackend())
-            with pytest.raises(ConfigurationError, match="already registered"):
-                register_backend("dup-test", lambda settings: SerialBackend())
-            register_backend(
-                "dup-test", lambda settings: BatchBackend(), replace=True
-            )
-            assert isinstance(resolve_backend("dup-test", QUICK), BatchBackend)
-        finally:
-            unregister_backend("dup-test")
-        assert "dup-test" not in available_backends()
+    def test_backend_names_and_classes_are_pinned(self, tmp_path):
+        """Exactly the sixteen names of the grammar, each its own class."""
+        expected = {
+            "serial": SerialBackend,
+            "pool": ProcessPoolBackend,
+            "batch": BatchBackend,
+            "pool+batch": PoolBatchBackend,
+        }
+        for plain in list(expected):
+            expected["remote:" + plain] = RemoteBackend
+            expected["cached:" + plain] = CachedBackend
+            expected["cached:remote:" + plain] = CachedBackend
+        assert available_backends() == tuple(sorted(expected))
+        assert len(available_backends()) == 16
+        settings = ExperimentSettings(quick=True, cache_dir=str(tmp_path))
+        for name, backend_class in expected.items():
+            backend = resolve_backend(name, settings)
+            assert type(backend) is backend_class, name
+            assert backend.name == name
 
     def test_custom_backend_round_trip_through_runner(self):
-        """A new backend registers and runs a grid with zero runner changes."""
+        """An out-of-tree backend instance runs a grid, no runner changes."""
         recorder = RecordingBackend()
-        try:
-            register_backend("recording-test", lambda settings: recorder)
-            assert "recording-test" in available_backends()
-            runner = ExperimentRunner(
-                ExperimentSettings(quick=True, backend="recording-test"),
-                buffer_factory=slow_then_fast_buffers,
-            )
-            results = runner.run_grid(
-                workloads=("DE",), trace_names=("RF Cart", "RF Obstruction")
-            )
-        finally:
-            unregister_backend("recording-test")
+        runner = ExperimentRunner(
+            QUICK, buffer_factory=slow_then_fast_buffers, backend=recorder
+        )
+        assert runner.resolved_backend() is recorder
+        results = runner.run_grid(
+            workloads=("DE",), trace_names=("RF Cart", "RF Obstruction")
+        )
         assert len(results) == 4
         assert len(recorder.seen_specs) == 4
         assert recorder.seen_groups == 2  # one lane group per trace

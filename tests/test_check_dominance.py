@@ -73,9 +73,9 @@ def test_cli_exit_code_on_regression(tmp_path, capsys):
     snapshot = tmp_path / "committed.json"
     snapshot.write_text(json.dumps(_committed()))
     fresh = _committed()
-    fresh["mixed_grid_react_heavy"]["fast_path_speedup"] = 0.5
+    fresh["grid_sweep"]["fast_path_speedup"] = 0.5
     fresh_path = tmp_path / "fresh.json"
     fresh_path.write_text(json.dumps(fresh))
     assert main([str(snapshot), str(fresh_path)]) == 1
     captured = capsys.readouterr()
-    assert "FAIL mixed_grid_react_heavy.fast_path_speedup" in captured.err
+    assert "FAIL grid_sweep.fast_path_speedup" in captured.err

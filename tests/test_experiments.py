@@ -3,7 +3,7 @@
 The heavier table/figure sweeps are exercised at benchmark time; here the
 cheap experiments run end-to-end in quick mode, the grid runner and the
 process-pool backend are checked on a reduced subset.  The backend
-registry and the composed ``pool+batch`` backend have their own module
+names and the composed ``pool+batch`` backend have their own module
 (``tests/test_backends.py``).
 """
 

@@ -5,11 +5,11 @@ Four contracts are pinned here:
 * **Wire protocol** — length-prefixed pickle frames round-trip every
   message, a clean EOF between frames reads as ``None``, and truncated or
   misframed streams raise instead of hanging or mis-parsing.
-* **Shard planning** — the coordinator executes
+* **Shard planning** — the coordinator dispatches exactly
   :func:`~repro.experiments.backends.plan_shards`, the plan ``pool+batch``
   runs too: every spec lands in exactly one shard, lane shards never go
   below their kernel's lane floor, every other cell is a one-cell shard,
-  and shards come back in spec order.
+  shards come back in spec order, and no shard is re-cut mid-sweep.
 * **Bit-equality** — the full quick grid through ``remote:serial`` with
   local worker processes returns the serial backend's results in serial
   order, exactly (``tests/oracle.py``) — including with a worker SIGKILLed
@@ -36,8 +36,6 @@ import time
 import pytest
 from oracle import assert_results_equivalent
 
-from repro.buffers.capybara import CapybaraBuffer
-from repro.buffers.morphy import MorphyBuffer
 from repro.buffers.static import StaticBuffer
 from repro.exceptions import ConfigurationError, SweepTransportError
 from repro.experiments import sweep
@@ -54,7 +52,6 @@ from repro.experiments.remote import (
     protocol,
     worker_command,
 )
-from repro.experiments.remote.coordinator import _Coordinator
 from repro.experiments.remote.worker import main as worker_main
 from repro.experiments.runner import ExperimentRunner, ExperimentSettings
 from repro.experiments.store import CachedBackend
@@ -69,23 +66,6 @@ def static_ladder_buffers():
     return [
         StaticBuffer(millifarads(0.5 * (index + 1)), name=f"{0.5 * (index + 1):.1f} mF")
         for index in range(6)
-    ]
-
-
-def static_and_morphy_ladder_buffers():
-    """Three static and four Morphy lanes (in-process tests only): two
-    kernels, so two lane floors, in one trace group."""
-    return static_ladder_buffers()[:3] + [
-        MorphyBuffer(unit_capacitance=millifarads(0.5 * (index + 1)))
-        for index in range(4)
-    ]
-
-
-def capybara_pair_buffers():
-    """Two unbatchable lanes (in-process tests only): one-cell shards."""
-    return [
-        CapybaraBuffer(name="Capybara A"),
-        CapybaraBuffer(task_capacitance=millifarads(20.0), name="Capybara B"),
     ]
 
 
@@ -227,111 +207,6 @@ class TestShardPlanning:
         )
 
 
-class TestShardRetuning:
-    """Observed per-cell wall-clock re-splits pending shards mid-sweep.
-
-    ``plan_shards`` sizes shards from lane counts alone; these tests drive
-    ``_Coordinator._observe_shard_cost`` directly — no sockets — and pin
-    the retune invariants: splits respect each kernel's lane floor,
-    dispatched shards keep their identity, bookkeeping stays consistent,
-    and the knob can be disabled.  The static ladder over two workloads is one 12-lane group;
-    two workers cut it into two 6-lane shards.
-    """
-
-    def coordinator(
-        self, buffer_factory, shard_target_seconds=30.0, workers=1, **backend_kwargs
-    ):
-        specs = ExperimentRunner(QUICK, buffer_factory=buffer_factory).grid_specs(
-            workloads=("DE", "SC"), trace_names=("RF Cart",)
-        )
-        backend = RemoteBackend(
-            inner="serial",
-            workers=workers,
-            shard_target_seconds=shard_target_seconds,
-            **backend_kwargs,
-        )
-        return _Coordinator(backend, list(specs))
-
-    def assert_consistent(self, run):
-        """Every spec still lands in exactly one live shard, ids resolve."""
-        seen = sorted(
-            index for shard in run.shards if not shard.done for index in shard.indices
-        )
-        assert seen == list(range(len(run.specs)))
-        for shard in run.pending:
-            assert run.shard_by_id[shard.shard_id] is shard
-        assert run.report.shards_total == len(run.shards)
-
-    def test_observed_heavy_cells_split_pending_shards(self, lane_floors):
-        lane_floors(static=3)
-        run = self.coordinator(static_ladder_buffers, workers=2)
-        assert [len(shard.indices) for shard in run.pending] == [6, 6]
-        first = run.pending.popleft()
-        first.attempts = 1  # in flight on a worker
-        # 20 s/cell against a 30 s target: the pending shard splits down to
-        # the floor of three lanes.
-        run._observe_shard_cost(first, wall_seconds=120.0)
-        assert run.report.shard_splits == 1
-        assert [len(shard.indices) for shard in run.pending] == [3, 3]
-        run.pending.appendleft(first)
-        self.assert_consistent(run)
-
-    def test_cheap_cells_leave_the_plan_alone(self):
-        run = self.coordinator(capybara_pair_buffers)
-        before = [shard.shard_id for shard in run.pending]
-        run._observe_shard_cost(run.pending[0], wall_seconds=0.02)
-        assert [shard.shard_id for shard in run.pending] == before
-        assert run.report.shard_splits == 0
-
-    def test_lane_groups_never_split_below_min_lanes(self, lane_floors):
-        # Six static lanes in one shard with a floor of five: even at
-        # 20 s/cell the retune cannot carve off a sub-floor piece.
-        lane_floors(static=5)
-        run = self.coordinator(static_ladder_buffers, workers=2)
-        wide = run.pending[0]
-        assert len(wide.indices) == 6
-        run._observe_shard_cost(wide, wall_seconds=20.0 * len(wide.indices))
-        assert all(len(shard.indices) >= 5 for shard in run.pending)
-        assert run.report.shard_splits == 0
-
-    def test_each_shard_splits_down_to_its_own_kernels_floor(self, lane_floors):
-        """A static shard (floor three) and a Morphy shard (floor four) of
-        one grid each split only as far as their own kernel's floor."""
-        lane_floors(static=3, morphy=4)
-        run = self.coordinator(static_and_morphy_ladder_buffers)
-        static = {0, 1, 2, 7, 8, 9}  # the DE and SC static cells
-        assert [len(shard.indices) for shard in run.pending] == [6, 8]
-        assert [shard.floor for shard in run.pending] == [3, 4]
-        run._observe_shard_cost(run.pending[0], wall_seconds=1e6)
-        pieces = {shard.indices: shard.floor for shard in run.pending}
-        assert run.report.shard_splits == 2
-        for indices, floor in pieces.items():
-            assert floor == (3 if set(indices) <= static else 4)
-            assert len(indices) >= floor
-        assert sorted(len(indices) for indices in pieces) == [3, 3, 4, 4]
-        self.assert_consistent(run)
-
-    def test_requeued_shards_keep_their_identity(self, lane_floors):
-        lane_floors(static=3)
-        run = self.coordinator(static_ladder_buffers, workers=2)
-        requeued = run.pending[0]
-        requeued.attempts = 1  # already dispatched once, then requeued
-        run._observe_shard_cost(run.pending[1], wall_seconds=120.0)
-        assert requeued in run.pending  # never split: retry ledger survives
-        assert len(requeued.indices) == 6
-
-    def test_none_disables_retuning(self):
-        run = self.coordinator(capybara_pair_buffers, shard_target_seconds=None)
-        before = [shard.shard_id for shard in run.pending]
-        run._observe_shard_cost(run.pending[0], wall_seconds=1e6)
-        assert [shard.shard_id for shard in run.pending] == before
-        assert run._per_cell_seconds is None
-
-    def test_non_positive_target_rejected(self):
-        with pytest.raises(ConfigurationError, match="shard_target_seconds"):
-            RemoteBackend(inner="serial", workers=1, shard_target_seconds=0.0)
-
-
 # ----------------------------------------------------------------------
 # Name grammar: [cached:][remote:]<backend>
 # ----------------------------------------------------------------------
@@ -385,20 +260,39 @@ class TestRemoteEquivalence:
             assert_results_equivalent(reference, candidate)
         assert seen == [result.buffer_name for result in serial_full_grid.results]
 
-    def test_mid_sweep_retune_splits_shards_and_matches_serial(self, lane_floors):
-        """A sub-second shard target forces observed-cost re-splitting on
-        the first completion; the re-sharded drain must stay bit-identical
-        to serial and the report must record the splits."""
-        lane_floors(1)
+    def test_dispatches_exactly_the_shard_plan_and_matches_serial(
+        self, lane_floors, monkeypatch
+    ):
+        """``remote:`` sends each shard of ``plan_shards`` once and nothing
+        else: at a static floor of one, the grid's six static lanes split
+        into two three-lane shards beside four one-cell shards, so the plan
+        has more shards than workers, and a lane shard that could be re-cut
+        down to single cells during the drain never is."""
+        import repro.experiments.remote.coordinator as coordinator_module
+
+        lane_floors(static=1)
         specs = ExperimentRunner(QUICK).grid_specs(
             workloads=("DE", "SC"), trace_names=("RF Cart",)
         )
+        plan = plan_shards(specs, workers=2)
+        assert len(plan) > 2
+        assert sorted(len(shard) for shard in plan if len(shard) > 1) == [3, 3]
+
+        assigned = []
+        send = coordinator_module._WorkerHandle.send
+
+        def recording_send(handle, message):
+            if isinstance(message, protocol.ShardAssignment):
+                assigned.append(message.indices)
+            return send(handle, message)
+
+        monkeypatch.setattr(coordinator_module._WorkerHandle, "send", recording_send)
         serial = SerialBackend().run_specs(specs)
-        backend = RemoteBackend(inner="serial", workers=2, shard_target_seconds=1e-6)
+        backend = RemoteBackend(inner="batch", workers=2)
         remote = backend.run_specs(specs)
         report = backend.last_run_report
-        assert report.shard_splits > 0
-        assert report.shards_total > len(plan_shards(specs, workers=2))
+        assert report.shards_total == report.dispatches == len(plan)
+        assert sorted(assigned) == plan
         assert len(remote) == len(serial)
         for reference, candidate in zip(serial, remote):
             assert_results_equivalent(reference, candidate)
@@ -658,9 +552,9 @@ class TestCli:
         assert "react-repro worker" in capsys.readouterr().err
 
     def test_worker_command_matches_cli_contract(self):
-        command = worker_command(("10.0.0.5", 9123), inner="batch", verbose=True)
+        command = worker_command(("10.0.0.5", 9123), verbose=True)
         assert "--connect" in command and "10.0.0.5:9123" in command
-        assert command[command.index("--inner") + 1] == "batch"
+        assert "--inner" not in command
         assert "--verbose" in command
 
     def test_settings_resolve_remote_worker_defaults(self):
