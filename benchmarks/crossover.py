@@ -2,10 +2,11 @@
 
 Run from the repository root::
 
-    PYTHONPATH=src python benchmarks/crossover.py [--pairs 5]
+    PYTHONPATH=src python benchmarks/crossover.py [--pairs 5] [--kernel morphy]
 
-For each kernel it times lane groups of 5, 10, 20, 40 and 80 lanes (DE
-workload, quick fidelity) on RF Cart and RF Mobile, ``serial`` and
+For each kernel (or only the one ``--kernel`` names) it times lane groups
+of 5, 10, 20, 40 and 80 lanes (DE workload, quick fidelity) on RF Cart and
+RF Mobile, ``serial`` and
 ``batch`` in interleaved pairs, with every kernel's ``min_lanes`` forced to
 1 so the batch side always runs lockstep.  Per width and trace it prints
 the median batch/serial wall-clock ratio and how many pairs batch won
@@ -75,13 +76,16 @@ def ratios(trace, factory, pairs):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument(
+        "--kernel", choices=tuple(KERNELS), help="time only this kernel"
+    )
     args = parser.parse_args(argv)
     for kernel_class in KERNEL_BUILDERS:
         kernel_class.min_lanes = 1
     needed = -(-4 * args.pairs // 5)  # 4 of 5 pairs, scaled
     print(f"median batch/serial ratio (batch wins / {args.pairs} pairs)")
     print(f"{'kernel':8}{'lanes':>6}" + "".join(f"{t:>20}" for t in TRACES))
-    for kernel in KERNELS:
+    for kernel in [args.kernel] if args.kernel else KERNELS:
         crossover = None
         for width in WIDTHS:
             factory = functools.partial(KERNELS[kernel], width)

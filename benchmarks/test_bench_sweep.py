@@ -15,10 +15,10 @@ backend must return the same results in the same order as the serial
 backend, and the fast-path engine must agree with the step-by-step engine,
 all exactly (``tests/oracle.py``).  (Timing ratios depend on the host's
 core count — on a single-core CI runner the worker pools cannot win — so
-all pool ratios are recorded, not asserted; the single-core Morphy batch
-speedup carries the positive assertion, the static batch sweep keeps a
-pathological-regression floor, the REACT batch sweep pins its exact
-lockstep work, and the mixed grid pins its exact scalar replay work.)
+all pool ratios are recorded, not asserted; the static batch sweep keeps
+a pathological-regression floor, the REACT and Morphy batch sweeps pin
+their exact lockstep work, and the mixed grid pins its exact scalar replay
+work.)
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 from benchmarks.conftest import record_sweep_metrics, run_once
 from repro.buffers.base import EnergyBuffer
 from repro.buffers.morphy import MorphyBuffer
+from repro.buffers.morphy_batch import MorphyBatchKernel
 from repro.buffers.react_adapter import ReactBuffer
 from repro.buffers.react_batch import ReactBatchKernel
 from repro.buffers.static import StaticBuffer
@@ -357,7 +358,22 @@ def test_bench_batched_capacitance_sweep(benchmark, bench_settings):
     )
 
 
-def test_bench_morphy_batched_sweep(benchmark, bench_settings):
+#: The deterministic work of the batched Morphy sweep's 48-lane column (see
+#: :func:`count_kernel_work`).  Each count moves if the column stops
+#: reaching the kernel (Morphy forced scalar), stops replaying whole
+#: segments (``fast_forward=False``) or stops handing its last lanes to the
+#: scalar engine (a lane floor of 1).
+MORPHY_BATCHED_WORK = {
+    "lockstep_steps": 7308,
+    "on_replays": 49,
+    "on_lane_steps": 70_894,
+    "off_replays": 1,
+    "off_lane_steps": 376,
+    "hand_offs": 39,
+}
+
+
+def test_bench_morphy_batched_sweep(benchmark, bench_settings, monkeypatch):
     """Batched lockstep sweep of the heaviest grid cells: the Morphy lanes.
 
     Every (unit-capacitance × workload) Morphy cell of a trace shares one
@@ -365,10 +381,13 @@ def test_bench_morphy_batched_sweep(benchmark, bench_settings):
     backend packs the trace's 48 lanes into a single vectorized run and the
     ``pool+batch`` backend shards them across workers.  Correctness gates
     the test — both grids must agree with the serial grid exactly on every
-    field — and the single-core batched speedup is recorded and asserted
-    at a conservative floor (locally ~2–2.5×; Morphy's per-step scalar
-    Python is heavier than a static's, so the lockstep win is on top of an
-    already slower baseline).
+    field — and so does the batched run's deterministic work, pinned
+    exactly in :data:`MORPHY_BATCHED_WORK`.  The batched speedup over
+    serial is recorded, not asserted: the scalar Morphy fast path replays
+    whole segments on flat floats
+    (:func:`~repro.buffers.morphy.replay_segment`), which cut the serial
+    reference, and a single-sample wall-clock ratio of two engines is a
+    measurement, not an invariant.
     """
     serial_runner = ExperimentRunner(
         bench_settings, buffer_factory=morphy_sweep_buffers
@@ -385,6 +404,7 @@ def test_bench_morphy_batched_sweep(benchmark, bench_settings):
     )
     serial_seconds = time.perf_counter() - started
 
+    work = count_kernel_work(monkeypatch, MorphyBatchKernel)
     started = time.perf_counter()
     batched = run_once(
         benchmark,
@@ -393,6 +413,7 @@ def test_bench_morphy_batched_sweep(benchmark, bench_settings):
         trace_names=MORPHY_SWEEP_TRACES,
     )
     batched_seconds = time.perf_counter() - started
+    work = dict(work)
 
     started = time.perf_counter()
     pool_batch = sweep(
@@ -419,10 +440,9 @@ def test_bench_morphy_batched_sweep(benchmark, bench_settings):
     benchmark.extra_info["pool_batch_speedup_vs_serial"] = round(
         serial_seconds / pool_batch_seconds, 3
     )
+    benchmark.extra_info["work"] = work
     record_sweep_metrics("morphy_batched_sweep", benchmark.extra_info)
-    assert speedup >= 1.4, (
-        f"batched Morphy sweep should beat serial throughput, got {speedup:.2f}x"
-    )
+    assert work == MORPHY_BATCHED_WORK
 
 
 def count_kernel_work(monkeypatch, kernel_class) -> Counter:

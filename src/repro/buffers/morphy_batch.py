@@ -72,14 +72,13 @@ class MorphyBatchKernel(LockstepKernel):
     rather than the exact post-harvest output (which for Morphy emerges
     from the charge split across the switch network and has no cheap
     closed form), so a lane may leave fast-forward a step early and resume
-    under normal stepping — the same conservatism the scalar engine's
-    generic :meth:`~repro.buffers.base.EnergyBuffer.fast_forward` applies
-    to Morphy.  Controller polls still run on schedule inside the replay
-    (the masked housekeeping timestamps are each stepping lane's own
-    clock), so reconfigurations land on exactly the step they would under
-    normal stepping; a reconfiguration that jumps the output voltage is
-    caught by the next iteration's pre-commit checks, again exactly like
-    the scalar fast path.
+    under normal stepping — the same conservatism the scalar
+    :func:`~repro.buffers.morphy.replay_segment` applies.  Controller polls
+    still run on schedule inside the replay (the masked housekeeping
+    timestamps are each stepping lane's own clock), so reconfigurations
+    land on exactly the step they would under normal stepping; a
+    reconfiguration that jumps the output voltage is caught by the next
+    iteration's pre-commit checks, again exactly like the scalar fast path.
 
     The inherited ``fast_forward_needs_full_batch = True`` stays in force:
     Morphy's per-step hooks sweep the whole ``lanes × caps`` state, so a
@@ -94,10 +93,12 @@ class MorphyBatchKernel(LockstepKernel):
 
     #: Narrowest lane group worth a lockstep batch (see
     #: :func:`repro.sim.batch.lane_floor`): the crossover
-    #: ``benchmarks/crossover.py`` measured on a 2-core host, batch/serial
-    #: median (wins of 5) 1.31 (1) on RF Cart and 1.35 (1) on RF Mobile at
-    #: 10 lanes, 0.68 (5) and 0.54 (5) at 20 lanes.
-    min_lanes = 20
+    #: ``benchmarks/crossover.py`` measured on a 2-core host against the
+    #: scalar fast path's flat-float replay
+    #: (:func:`~repro.buffers.morphy.replay_segment`), batch/serial median
+    #: (wins of 5) 1.06 (0) on RF Cart and 0.79 (5) on RF Mobile at 20
+    #: lanes, 0.57 (5) and 0.47 (5) at 40 lanes.
+    min_lanes = 40
 
     def __init__(self, buffers: Sequence[MorphyBuffer]) -> None:
         self.buffers: List[MorphyBuffer] = list(buffers)

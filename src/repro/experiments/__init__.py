@@ -14,7 +14,7 @@ surface over both.
 Run everything from the command line::
 
     react-repro all --quick                   # truncated traces, minutes
-    react-repro all                           # full fidelity, tens of minutes
+    react-repro all --backend pool            # full fidelity, ~90 s on 2 cores
     react-repro table2 --backend pool+batch   # stack both sweep speedups
 """
 

@@ -3,7 +3,7 @@
 Examples::
 
     react-repro table4 --quick                       # latency table, truncated traces
-    react-repro fig7                                 # full Figure 7 sweep (tens of minutes)
+    react-repro fig7                                 # full-fidelity Figure 7 sweep
     react-repro all --quick --backend pool+batch     # every artifact, both sweep speedups
     react-repro list                                 # show available experiments
 
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="truncate the long solar traces and coarsen the timestep (minutes instead of tens of minutes)",
+        help="truncate the long solar traces and coarsen the timestep",
     )
     parser.add_argument("--seed", type=int, default=0, help="trace-generation seed")
     parser.add_argument(

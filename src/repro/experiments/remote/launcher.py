@@ -25,18 +25,15 @@ from typing import List, Tuple
 log = logging.getLogger("repro.remote.launcher")
 
 
-def worker_command(address: Tuple[str, int], verbose: bool = False) -> List[str]:
+def worker_command(address: Tuple[str, int]) -> List[str]:
     """The argv that starts one worker process against ``address``."""
-    command = [
+    return [
         sys.executable,
         "-m",
         "repro.experiments.remote",
         "--connect",
         f"{address[0]}:{address[1]}",
     ]
-    if verbose:
-        command.append("--verbose")
-    return command
 
 
 class LocalWorkerPool:

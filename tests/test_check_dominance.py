@@ -30,7 +30,7 @@ def test_passes_when_fresh_matches_committed():
 
 def test_passes_inside_noise_margin():
     fresh = _committed()
-    fresh["morphy_batched_sweep"]["batched_speedup_vs_serial"] = 1.7 * 0.9
+    fresh["batched_capacitance_sweep"]["batched_speedup_vs_serial"] = 1.5 * 0.9
     assert check(_committed(), fresh, margin=0.85) == []
 
 
@@ -52,10 +52,17 @@ def test_missing_fresh_ratio_is_a_failure():
 
 def test_unrecorded_committed_floor_is_not_gated():
     committed = _committed()
-    del committed["morphy_batched_sweep"]
+    del committed["grid_sweep"]
+    fresh = _committed()
+    fresh["grid_sweep"]["fast_path_speedup"] = 0.1
+    assert check(committed, fresh, margin=0.85) == []
+
+
+def test_work_pinned_ratios_are_not_gated():
     fresh = _committed()
     fresh["morphy_batched_sweep"]["batched_speedup_vs_serial"] = 0.1
-    assert check(committed, fresh, margin=0.85) == []
+    fresh["mixed_grid_react_heavy"]["fast_path_speedup"] = 0.1
+    assert check(_committed(), fresh, margin=0.85) == []
 
 
 def test_committed_file_gates_itself_via_cli(tmp_path):

@@ -1,15 +1,27 @@
 """Morphy switched-capacitor buffer: configurations, physics, and policy."""
 
-import pytest
-from hypothesis import given, strategies as st
+import copy
+import math
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.buffers.morphy as morphy
+from repro.buffers.base import EnergyBuffer
 from repro.buffers.morphy import (
     MorphyBuffer,
     MorphyConfiguration,
     MorphyConfigurationTable,
 )
+from repro.capacitors.leakage import NoLeakage, VoltageProportionalLeakage
 from repro.exceptions import ConfigurationError
+from repro.sim.engine import Simulator
+from repro.sim.system import BatterylessSystem
 from repro.units import millifarads
+from repro.workloads.data_encryption import DataEncryption
+from repro.workloads.sense_compute import SenseAndCompute
+
+from oracle import assert_results_equivalent
 
 
 class TestConfigurationTable:
@@ -311,3 +323,225 @@ class TestControllerPolicy:
             return seen
 
         assert grid_points(0.01) == grid_points(0.07) == list(range(10))
+
+
+def morphy_buffer(level, output, next_poll=0.0, totals=(0.0,) * 6, **options):
+    """A Morphy array at ``level`` whose equal cells put the output at ``output``.
+
+    ``totals`` seeds the six ledger entries; ``options`` go to the
+    constructor.
+    """
+    buffer = MorphyBuffer(**options)
+    buffer.set_state(level, [output / len(buffer._level_firsts[level])] * 8)
+    buffer._next_poll_time = next_poll
+    ledger = buffer.ledger
+    (
+        ledger.offered,
+        ledger.stored,
+        ledger.delivered,
+        ledger.clipped,
+        ledger.leaked,
+        ledger.switching_loss,
+    ) = totals
+    return buffer
+
+
+def morphy_state(buffer):
+    """Every field a Morphy step can change."""
+    return (
+        list(buffer._voltages),
+        buffer.level,
+        buffer._next_poll_time,
+        buffer.reconfiguration_count,
+        buffer.ledger.as_dict(),
+    )
+
+
+def replay_both(buffer, on, *args, **bounds):
+    """Run the fused replay on ``buffer`` and the generic hook loop on a copy.
+
+    Both must commit the same steps to the same end time and leave every
+    mutable field equal bit for bit (``repr`` tells signed zeros apart).
+    Returns the fused run's ``(steps, end_time)``.
+    """
+    reference = copy.deepcopy(buffer)
+    if on:
+        fused = buffer.fast_forward_on(*args, **bounds)
+        generic = EnergyBuffer.fast_forward_on(reference, *args, **bounds)
+    else:
+        fused = buffer.fast_forward(*args, **bounds)
+        generic = EnergyBuffer.fast_forward(reference, *args, **bounds)
+    assert repr(fused) == repr(generic)
+    assert repr(morphy_state(buffer)) == repr(morphy_state(reference))
+    return fused
+
+
+def optional(strategy):
+    return st.none() | strategy
+
+
+@st.composite
+def replay_cases(draw):
+    """A Morphy state, a constant-power segment, and its stop bounds."""
+    options = dict(
+        unit_capacitance=millifarads(draw(st.sampled_from((0.5, 2.0, 4.0)))),
+        network_efficiency=draw(st.sampled_from((0.9, 0.95, 1.0))),
+    )
+    buffer = morphy_buffer(
+        draw(st.integers(0, 10)),
+        0.0,
+        next_poll=draw(st.floats(0.0, 0.5)),
+        totals=[
+            # Totals near zero keep every addend's last bit visible.
+            draw(st.sampled_from((-0.0, 0.0, 1e-9, 1e-3, 1.0))) * fraction
+            for fraction in draw(st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+        ],
+        **options,
+    )
+    if draw(st.booleans()):
+        buffer.leakage = NoLeakage()
+    # Unequal cells around an output in [0, 3.8] V: a reconfiguration then
+    # dissipates, and the poll can step either way.
+    chain = len(buffer._level_firsts[buffer.level])
+    output = draw(st.floats(0.0, 3.8))
+    buffer._voltages = [
+        draw(st.sampled_from((-0.0, 0.0)) | st.floats(0.0, 2.0)) * output / chain
+        for _ in range(8)
+    ]
+    on = draw(st.booleans())
+    args = (
+        draw(st.floats(0.0, 0.05)),  # delivered power
+        draw(st.floats(0.0, 0.01)),  # load current
+        draw(st.sampled_from((0.001, 0.01, 0.02, 0.1))),
+        draw(st.floats(0.0, 1.0)),  # start time
+        draw(st.integers(0, 300)),
+    )
+    voltage = st.floats(0.0, 4.0)
+    bounds = dict(
+        stop_above=draw(optional(voltage)), stop_below=draw(optional(voltage))
+    )
+    if on:
+        bounds["brownout_floor"] = draw(optional(voltage))
+        bounds["wake_energy"] = draw(optional(st.floats(0.0, 0.05)))
+    else:
+        bounds["drain_floor"] = draw(optional(voltage))
+    return buffer, on, args, bounds
+
+
+class TestFusedReplay:
+    """``MorphyBuffer.fast_forward[_on]`` is the generic hook loop, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=replay_cases())
+    def test_matches_the_generic_loop(self, case):
+        buffer, on, args, bounds = case
+        replay_both(buffer, on, *args, **bounds)
+
+    def test_segment_ended_by_stop_above(self):
+        buffer = morphy_buffer(3, 3.0)
+        steps, _ = replay_both(
+            buffer, False, 0.01, 0.0, 0.01, 0.0, 10_000, stop_above=3.3
+        )
+        assert 0 < steps < 10_000
+        assert buffer.post_harvest_voltage_bound(0.01 * 0.01) >= 3.3
+
+    def test_segment_ended_by_stop_below(self):
+        buffer = morphy_buffer(3, 3.0, next_poll=math.inf)
+        steps, _ = replay_both(
+            buffer, True, 0.0, 5e-3, 0.01, 0.0, 10_000, stop_below=2.5
+        )
+        assert 0 < steps < 10_000
+        assert buffer.output_voltage < 2.5
+
+    def test_segment_ended_by_brownout_floor(self):
+        buffer = morphy_buffer(3, 2.2)
+        steps, _ = replay_both(
+            buffer, True, 0.0, 5e-3, 0.01, 0.0, 10_000, brownout_floor=1.95
+        )
+        assert 0 < steps < 10_000
+        assert buffer.output_voltage <= 1.95
+
+    def test_segment_ended_by_wake_energy(self):
+        buffer = morphy_buffer(3, 2.5)
+        wake = buffer.usable_energy() + 1e-3
+        steps, _ = replay_both(
+            buffer, True, 0.02, 1e-3, 0.01, 0.0, 10_000, wake_energy=wake
+        )
+        assert 0 < steps < 10_000
+        assert buffer.usable_energy() + 2.0 * 0.02 * 0.01 >= wake
+
+    def test_segment_ended_by_drain_floor(self):
+        buffer = morphy_buffer(0, 3.4)
+        steps, _ = replay_both(
+            buffer, False, 0.0, 1e-3, 0.01, 0.0, 10_000, drain_floor=3.3
+        )
+        assert 1 < steps < 10_000
+        assert buffer.output_voltage < 3.3
+        assert not buffer.can_reach_voltage(3.3)
+
+    def test_segment_ended_by_max_steps(self):
+        buffer = morphy_buffer(3, 2.5)
+        steps, _ = replay_both(buffer, True, 1e-3, 1e-4, 0.01, 0.0, 50)
+        assert steps == 50
+        assert buffer._next_poll_time > 0.0
+
+    def test_poll_steps_the_level_up_mid_segment(self):
+        buffer = morphy_buffer(3, 3.45, next_poll=0.05)
+        steps, _ = replay_both(buffer, True, 0.02, 1e-3, 0.01, 0.0, 200)
+        assert steps == 200
+        assert buffer.level > 3
+
+    def test_poll_steps_the_level_down_mid_segment(self):
+        buffer = morphy_buffer(3, 1.95, next_poll=0.1)
+        steps, _ = replay_both(
+            buffer, True, 0.0, 1e-3, 0.01, 0.0, 200, brownout_floor=1.6
+        )
+        assert buffer.level < 3
+        assert steps > 11
+
+    @pytest.mark.parametrize("on", [False, True])
+    @pytest.mark.parametrize("variant", ["not_batch_exact", "custom_leakage"])
+    def test_other_buffers_take_the_generic_loop(
+        self, monkeypatch, short_rf_trace, variant, on
+    ):
+        def fresh_buffer():
+            if variant == "not_batch_exact":
+                return HookDriven()
+            buffer = MorphyBuffer()
+            buffer.leakage = CustomLeakage(rated_current=1e-6, rated_voltage=6.3)
+            return buffer
+
+        assert not fresh_buffer().follows_recurrence()
+        assert fresh_buffer().batch_key() is None
+
+        def fused(*args):
+            raise AssertionError("the fused replay ran")
+
+        monkeypatch.setattr(morphy, "replay_segment", fused)
+        buffer = fresh_buffer()
+        buffer.set_state(3, [0.75] * 8)
+        steps, _ = replay_both(buffer, on, 5e-3, 1e-3, 0.01, 0.0, 100)
+        assert steps == 100
+
+        def run(fast_forward):
+            workload = SenseAndCompute() if on else DataEncryption()
+            system = BatterylessSystem.build(short_rf_trace, fresh_buffer(), workload)
+            return Simulator(
+                system,
+                dt_on=0.02,
+                dt_off=0.1,
+                max_drain_time=120.0,
+                fast_forward=fast_forward,
+            ).run()
+
+        assert_results_equivalent(run(False), run(True))
+
+
+class HookDriven(MorphyBuffer):
+    """A subclass that does not vouch for its hooks."""
+
+    batch_exact = False
+
+
+class CustomLeakage(VoltageProportionalLeakage):
+    """A leakage model the replay does not know."""

@@ -552,10 +552,13 @@ class TestCli:
         assert "react-repro worker" in capsys.readouterr().err
 
     def test_worker_command_matches_cli_contract(self):
-        command = worker_command(("10.0.0.5", 9123), verbose=True)
-        assert "--connect" in command and "10.0.0.5:9123" in command
-        assert "--inner" not in command
-        assert "--verbose" in command
+        command = worker_command(("10.0.0.5", 9123))
+        assert command[1:] == [
+            "-m",
+            "repro.experiments.remote",
+            "--connect",
+            "10.0.0.5:9123",
+        ]
 
     def test_settings_resolve_remote_worker_defaults(self):
         backend = resolve_backend(
