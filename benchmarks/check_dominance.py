@@ -33,13 +33,10 @@ from typing import List, Optional, Tuple
 #: (variant, key) speedup ratios gated against the committed floor.  Each
 #: is a batch-vs-serial (or skip-vs-step) dominance claim the refactor
 #: history fought for; add a pair here when a new sweep variant lands.
-#: Deliberately absent: the ``remote_sweep`` ratios
-#: (``remote_speedup_vs_serial``) — the transport pays worker startup,
-#: pickling, and socket costs that swamp the quick grid on a shared
-#: runner, so those numbers are recorded for the trajectory, not gated —
-#: ``react_batched_sweep`` and ``morphy_batched_sweep``, whose batched runs
-#: are gated on their exact kernel work counts in ``test_bench_sweep.py``
-#: instead: the scalar REACT and Morphy fast paths they are timed against
+#: Deliberately absent: ``react_batched_sweep`` and
+#: ``morphy_batched_sweep``, whose batched runs are gated on their exact
+#: kernel work counts in ``test_bench_sweep.py`` instead: the scalar REACT
+#: and Morphy fast paths they are timed against
 #: each became a flat-float segment replay, so their committed ratios
 #: stopped being true of the program — and ``mixed_grid_react_heavy``,
 #: whose fast run is gated on its exact scalar replay counts there too:

@@ -41,7 +41,6 @@ from repro.experiments.backends import (
     PoolBatchBackend,
     ProcessPoolBackend,
 )
-from repro.experiments.remote import RemoteBackend
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments import sweep
 from repro.sim.batch import _LockstepRun
@@ -585,42 +584,3 @@ def test_bench_react_batched_sweep(benchmark, bench_settings, monkeypatch):
     record_sweep_metrics("react_batched_sweep", benchmark.extra_info)
     assert work == REACT_BATCHED_WORK
 
-
-def test_bench_remote_sweep(benchmark, bench_settings):
-    """Distributed sweep throughput: the coordinator/worker transport.
-
-    The same representative grid as ``grid_sweep``, executed by two
-    localhost worker processes through ``remote:serial``
-    (:mod:`repro.experiments.remote`).  Correctness gates the test — the
-    reassembled grid must match the serial grid exactly, in order — while
-    both remote ratios are recorded, not asserted: besides the usual
-    core-count dependence of any pool-style ratio, the transport pays a
-    per-sweep tax the in-process backends don't (worker interpreter
-    startup, spec/result pickling, socket round-trips), so on the quick
-    grid the speedup can legitimately sit below 1.0 on a loaded runner.
-    Neither ratio is in ``check_dominance.py``'s gate for the same reason.
-    """
-    serial_runner = ExperimentRunner(bench_settings)
-    remote_runner = ExperimentRunner(
-        bench_settings, backend=RemoteBackend(inner="serial", workers=2)
-    )
-
-    started = time.perf_counter()
-    serial = serial_runner.run_grid(workloads=SWEEP_WORKLOADS)
-    serial_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    remote = run_once(benchmark, remote_runner.run_grid, workloads=SWEEP_WORKLOADS)
-    remote_seconds = time.perf_counter() - started
-
-    assert_sweeps_equivalent(serial, remote)
-
-    report = remote_runner.backend.last_run_report
-    benchmark.extra_info["grid_cells"] = len(serial)
-    benchmark.extra_info["shards"] = report.shards_total
-    benchmark.extra_info["serial_seconds"] = round(serial_seconds, 3)
-    benchmark.extra_info["remote_workers2_seconds"] = round(remote_seconds, 3)
-    benchmark.extra_info["remote_speedup_vs_serial"] = round(
-        serial_seconds / remote_seconds, 3
-    )
-    record_sweep_metrics("remote_sweep", benchmark.extra_info)

@@ -5,16 +5,14 @@ by source-level disciplines that are documented (README, CHANGES.md, the
 ``SegmentPlan`` contract) but — before this package — unenforced:
 ``math.sqrt`` instead of ``** 0.5`` for numpy parity, sequential adds
 instead of float ``sum()`` where ledgers must be bit-equal, additive
-``time += dt`` accumulation, lambda-free ``RunSpec`` settings, the
-single-owner event-queue threading rule in ``experiments/remote/``, and
-"a corrupt cache entry is a miss, and it logs".  This package turns each
+``time += dt`` accumulation, lambda-free ``RunSpec`` settings, and "a
+corrupt cache entry is a miss, and it logs".  This package turns each
 of those conventions into a machine-checked contract:
 
 * :mod:`~repro.analysis.lint.core` — the rule framework: :class:`Rule`
   with AST-visitor dispatch, per-line justification-carrying disable
   pragmas, and the lint runner.
-* :mod:`~repro.analysis.lint.rules` /
-  :mod:`~repro.analysis.lint.threads` — the rules themselves.
+* :mod:`~repro.analysis.lint.rules` — the rules themselves.
 * :mod:`~repro.analysis.lint.baseline` — the committed-baseline escape
   hatch for grandfathered findings.
 * :mod:`~repro.analysis.lint.report` — text and JSON reporters.

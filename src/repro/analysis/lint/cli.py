@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="react-repro lint",
         description=(
             "Check the repro tree against its bit-equality, ledger, "
-            "threading, and picklability contracts.  Suppress a finding "
+            "exception, and picklability contracts.  Suppress a finding "
             "with '# repro-lint: disable=RULE -- justification' on (or "
             "above) the line, or grandfather it in the committed baseline."
         ),

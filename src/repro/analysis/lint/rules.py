@@ -1,4 +1,4 @@
-"""The invariant rules (all but the thread-ownership race detector).
+"""The invariant rules.
 
 Each rule encodes one discipline this repo already documents and has
 already been burned by:
@@ -20,10 +20,9 @@ already been burned by:
   process and cache boundaries; lambdas and local defs pickle on no
   backend and fingerprint in no store (today only caught at runtime by
   ``store.callable_identity``).
-* ``exception-discipline`` — in ``store.py`` and ``remote/``, "corrupt
-  entry is a miss" and "lost worker gets requeued" are contracts that
-  must *log*: a blanket handler that swallows silently turns fault
-  tolerance into fault invisibility.
+* ``exception-discipline`` — in ``store.py``, "a corrupt entry is a
+  miss" is a contract that must *log*: a blanket handler that swallows
+  silently turns fault tolerance into fault invisibility.
 * ``kernel-conformance`` — every lockstep kernel registered in
   ``KERNEL_BUILDERS`` must provide the ``LockstepKernel`` segment-replay
   entry points (``fast_forward``/``fast_forward_on``), directly or by
@@ -36,7 +35,6 @@ import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.lint.core import Finding, Project, Rule, SourceFile
-from repro.analysis.lint.threads import ThreadOwnershipRule
 
 
 def _terminal_name(node: ast.AST) -> Optional[str]:
@@ -288,8 +286,8 @@ class PicklableSettingsRule(Rule):
                         source,
                         node,
                         f"lambda passed into {label}: it cannot pickle across "
-                        "pool/remote backends and has no stable store "
-                        "fingerprint; use a module-level callable",
+                        "pool backends and has no stable store fingerprint; "
+                        "use a module-level callable",
                     )
                 )
             elif isinstance(node, ast.Name) and node.id in locals_in_scope:
@@ -339,10 +337,10 @@ def _handler_is_loud(handler: ast.ExceptHandler) -> bool:
 class ExceptionDisciplineRule(Rule):
     id = "exception-discipline"
     description = (
-        "no silently-swallowed bare/blanket except in store.py or remote/: "
-        "'corrupt entry is a miss' and 'lost worker requeues' must log"
+        "no silently-swallowed bare/blanket except in store.py: "
+        "'corrupt entry is a miss' must log"
     )
-    scope = ("repro/experiments/store.py", "repro/experiments/remote/*.py")
+    scope = ("repro/experiments/store.py",)
 
     def check(self, source: SourceFile) -> List[Finding]:
         findings = []
@@ -477,14 +475,12 @@ class KernelConformanceRule(Rule):
         )
 
 
-#: Every rule, in report order.  The thread-ownership detector lives in
-#: :mod:`repro.analysis.lint.threads`.
+#: Every rule, in report order.
 ALL_RULES: Tuple[Rule, ...] = (
     SqrtParityRule(),
     LedgerSumRule(),
     AdditiveTimeRule(),
     PicklableSettingsRule(),
-    ThreadOwnershipRule(),
     ExceptionDisciplineRule(),
     KernelConformanceRule(),
 )

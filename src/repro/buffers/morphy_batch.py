@@ -97,7 +97,11 @@ class MorphyBatchKernel(LockstepKernel):
     #: scalar fast path's flat-float replay
     #: (:func:`~repro.buffers.morphy.replay_segment`), batch/serial median
     #: (wins of 5) 1.06 (0) on RF Cart and 0.79 (5) on RF Mobile at 20
-    #: lanes, 0.57 (5) and 0.47 (5) at 40 lanes.
+    #: lanes, 0.57 (5) and 0.47 (5) at 40 lanes.  Those rows time DE lanes
+    #: only, with every floor forced to 1, so they never see SC lanes or the
+    #: scalar-tail hand-off this floor triggers.  On the 48-lane DE+SC
+    #: benchmark grid (RF Cart, quick) the measured margin over serial is
+    #: only ~1.2×: batch 5.57 s at floor 40 against 6.63 s serial.
     min_lanes = 40
 
     def __init__(self, buffers: Sequence[MorphyBuffer]) -> None:

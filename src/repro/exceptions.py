@@ -26,12 +26,3 @@ class BankStateError(ReproError):
 class WorkloadError(ReproError):
     """A workload was driven through an invalid sequence of operations."""
 
-
-class SweepTransportError(ReproError):
-    """A distributed sweep could not be completed by the remote transport.
-
-    Raised by the remote coordinator when a shard exhausts its retry budget
-    (every dispatch died, stalled, or failed) or when no workers ever
-    connect — always with the affected spec indices in the message, so a
-    failed sweep names *what* is missing instead of hanging.
-    """

@@ -7,8 +7,8 @@ identical across tables, exactly as in the paper's methodology, and all
 grid execution flows through the pluggable backend API
 (:mod:`repro.experiments.backends`): describe the grid once, pick
 ``--backend serial|pool|batch|pool+batch``, wrapped as
-``[cached:][remote:]<backend>`` when you want the result store or the
-worker fleet, or pass your own backend instance.  :func:`repro.experiments.sweep` is the public one-call
+``cached:<backend>`` when you want the result store, or pass your own
+backend instance.  :func:`repro.experiments.sweep` is the public one-call
 surface over both.
 
 Run everything from the command line::
@@ -35,12 +35,6 @@ from repro.experiments.store import (
     ResultStore,
     StoreStats,
     code_version_salt,
-)
-from repro.experiments.remote import (
-    LocalWorkerPool,
-    RemoteBackend,
-    RemoteReport,
-    SweepWorker,
 )
 from repro.experiments._sweep import SweepResult, sweep
 from repro.experiments import (
@@ -90,11 +84,6 @@ __all__ = [
     "ResultStore",
     "StoreStats",
     "code_version_salt",
-    # distributed sweep service
-    "RemoteBackend",
-    "RemoteReport",
-    "SweepWorker",
-    "LocalWorkerPool",
     # public sweep surface
     "sweep",
     "SweepResult",

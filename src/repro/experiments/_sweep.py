@@ -76,11 +76,10 @@ def sweep(
 
     ``backend`` is a backend name (one of
     :func:`~repro.experiments.backends.available_backends`: ``serial``,
-    ``pool``, ``batch``, ``pool+batch`` and their ``[cached:][remote:]``
-    compositions) or a ready
-    :class:`~repro.experiments.backends.ExecutionBackend` instance, which is
-    how a backend from outside the tree plugs in; ``None`` resolves from
-    ``settings`` the same way the CLI does.
+    ``pool``, ``batch``, ``pool+batch`` and their ``cached:`` forms) or a
+    ready :class:`~repro.experiments.backends.ExecutionBackend` instance,
+    which is how a backend from outside the tree plugs in; ``None``
+    resolves from ``settings`` the same way the CLI does.
     """
     settings = settings if settings is not None else ExperimentSettings()
     runner = ExperimentRunner(settings, buffer_factory=buffer_factory, backend=backend)

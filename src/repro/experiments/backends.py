@@ -26,16 +26,12 @@ matter how execution is scheduled.  Four backends ship in-tree:
 
 :func:`resolve_backend` builds a backend from its name.  The four names
 above are the plain ones (the fixed :data:`PLAIN_BACKENDS` table), and
-each plain name ``X`` also composes under the fixed grammar
-``[cached:][remote:]X``: ``cached:`` puts the memoizing
-:class:`~repro.experiments.store.CachedBackend` in front of its inner
-backend, ``remote:`` dispatches through the coordinator/worker transport
-:class:`~repro.experiments.remote.RemoteBackend`, and
-``cached:remote:serial`` checks the store before any worker is spawned.
-Any other nesting (``remote:remote:serial``, ``cached:cached:serial``) is
-rejected with the list of valid names.  An execution strategy from outside
-the tree plugs in as an instance, through ``sweep(backend=...)`` or
-``ExperimentRunner(backend=...)``.
+each plain name ``X`` also has a ``cached:X`` form, which puts the
+memoizing :class:`~repro.experiments.store.CachedBackend` in front of it:
+the grammar is ``[cached:]<backend>``.  Any other name
+(``cached:cached:serial``) is rejected with the list of valid names.  An
+execution strategy from outside the tree plugs in as an instance, through
+``sweep(backend=...)`` or ``ExperimentRunner(backend=...)``.
 
 Grouping metadata travels on the specs themselves: ``RunSpec.trace_name``
 (together with the spec's settings, which fix the trace's fidelity) is the
@@ -45,10 +41,9 @@ kernel compatibility
 (:meth:`~repro.buffers.base.EnergyBuffer.batch_key`).  :func:`trace_groups`
 derives the trace grouping, :func:`partition_batchable` refines it into
 the per-kernel lane groups any batch-style backend needs, and
-:func:`plan_shards` cuts those into the shards that both sharding backends,
-``pool+batch`` and ``remote:``, execute.  A lane group only forms when it
-reaches its kernel's :func:`~repro.sim.batch.lane_floor`, so no backend
-takes a width setting.
+:func:`plan_shards` cuts those into the shards ``pool+batch`` executes.
+A lane group only forms when it reaches its kernel's
+:func:`~repro.sim.batch.lane_floor`, so no backend takes a width setting.
 """
 
 from __future__ import annotations
@@ -96,9 +91,6 @@ GroupKey = Tuple[str, str]
 
 #: Name prefix selecting the memoizing store wrapper: ``cached:<inner>``.
 CACHED_PREFIX = "cached:"
-
-#: Name prefix selecting the coordinator/worker transport: ``remote:<inner>``.
-REMOTE_PREFIX = "remote:"
 
 
 @dataclass(frozen=True)
@@ -301,8 +293,7 @@ def _split_evenly(items: List[int], chunks: int) -> List[List[int]]:
 def plan_shards(specs: Sequence[RunSpec], workers: int) -> List[Tuple[int, ...]]:
     """Spec indices cut into shards along :func:`partition_batchable` lines.
 
-    The one shard plan of both sharding backends: ``pool+batch`` runs it
-    over a process pool and ``remote:`` over its worker fleet.  Each lane
+    The shard plan ``pool+batch`` runs over its process pool.  Each lane
     group splits into contiguous chunks so the shard count reaches
     ``workers``, never into a chunk narrower than its kernel's lane floor
     (it would just run scalar inside a batch).  Every other cell,
@@ -552,12 +543,12 @@ PLAIN_BACKENDS: Mapping[str, Callable[[ExperimentSettings], ExecutionBackend]] =
 def available_backends() -> Tuple[str, ...]:
     """Every valid backend name, sorted.
 
-    Each plain name ``X`` and its three compositions ``remote:X``,
-    ``cached:X`` and ``cached:remote:X``: the whole
-    ``[cached:][remote:]<backend>`` grammar.
+    Each plain name ``X`` and its ``cached:X`` form: the whole
+    ``[cached:]<backend>`` grammar.
     """
-    heads = ("", REMOTE_PREFIX, CACHED_PREFIX, CACHED_PREFIX + REMOTE_PREFIX)
-    return tuple(sorted(head + name for name in PLAIN_BACKENDS for head in heads))
+    return tuple(
+        sorted(head + name for name in PLAIN_BACKENDS for head in ("", CACHED_PREFIX))
+    )
 
 
 def resolve_backend(
@@ -566,9 +557,9 @@ def resolve_backend(
     """Build the backend ``name`` names for ``settings``.
 
     ``name`` must be one of :func:`available_backends`: a plain name builds
-    its in-tree backend, ``cached:<inner>`` a
-    :class:`~repro.experiments.store.CachedBackend` and ``remote:<inner>`` a
-    :class:`~repro.experiments.remote.RemoteBackend`.
+    its in-tree backend, and ``cached:<inner>`` a
+    :class:`~repro.experiments.store.CachedBackend` around the plain
+    ``<inner>``.
     """
     if settings is None:
         settings = ExperimentSettings()
@@ -576,18 +567,12 @@ def resolve_backend(
     if name not in names:
         raise ConfigurationError(
             f"unknown execution backend {name!r}; names take the form "
-            "[cached:][remote:]<backend>, where cached:<inner> wraps a plain or "
-            "remote: backend and remote:<inner> a plain one; valid names: "
-            + ", ".join(names)
+            "[cached:]<backend>, where cached:<inner> wraps a plain backend; "
+            "valid names: " + ", ".join(names)
         )
     if name in PLAIN_BACKENDS:
         return PLAIN_BACKENDS[name](settings)
-    if name.startswith(CACHED_PREFIX):
-        # Imported lazily: store.py imports this module at the top level.
-        from repro.experiments.store import cached_backend_from_settings
+    # Imported lazily: store.py imports this module at the top level.
+    from repro.experiments.store import cached_backend_from_settings
 
-        return cached_backend_from_settings(name, settings)
-    # Imported lazily: the remote subpackage imports this module.
-    from repro.experiments.remote import remote_backend_from_settings
-
-    return remote_backend_from_settings(name, settings)
+    return cached_backend_from_settings(name, settings)

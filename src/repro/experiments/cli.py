@@ -8,21 +8,14 @@ Examples::
     react-repro list                                 # show available experiments
 
 Grid execution is selected with ``--backend`` (``serial``, ``pool``,
-``batch``, ``pool+batch``, or one of their ``[cached:][remote:]``
-compositions; :func:`repro.experiments.backends.available_backends` lists
-every valid name).  ``--workers`` sets
-the pool width for the pool-style backends and selects nothing on its
-own: without ``--backend`` a sweep runs serially.  ``--cache-dir DIR``
-memoizes sweep results in a content-addressed store under ``DIR``
-(equivalently, pick a ``cached:<inner>`` backend directly); ``--no-cache``
-disables the store even for an explicitly cached backend name.
-
-Distributed sweeps use the ``remote:<inner>`` backends
-(:mod:`repro.experiments.remote`): ``--backend remote:serial
---remote-workers N`` fans the grid out over N localhost worker processes,
-``--remote-listen HOST:PORT`` accepts workers started on other machines
-with the ``react-repro worker --connect HOST:PORT`` subcommand, and
-``--verbose`` surfaces the coordinator's scheduling log.
+``batch``, ``pool+batch``, or their ``cached:`` forms;
+:func:`repro.experiments.backends.available_backends` lists every valid
+name).  ``--workers`` sets the pool width for the pool-style backends and
+selects nothing on its own: without ``--backend`` a sweep runs serially.
+``--cache-dir DIR`` memoizes sweep results in a content-addressed store
+under ``DIR`` (equivalently, pick a ``cached:<inner>`` backend directly);
+``--no-cache`` disables the store even for an explicitly cached backend
+name.
 
 ``react-repro lint`` runs the repo's invariant linter
 (:mod:`repro.analysis.lint`) over the installed package — the same
@@ -32,7 +25,6 @@ blocking check CI applies.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 import time
 from typing import List, Optional
@@ -53,9 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(EXPERIMENTS) + ["all", "list"],
         help=(
             "which artifact to regenerate ('all' for every one, 'list' to "
-            "enumerate); 'react-repro worker --connect HOST:PORT' instead "
-            "starts a distributed-sweep worker (see --remote-listen), and "
-            "'react-repro lint' runs the repo invariant linter"
+            "enumerate); 'react-repro lint' instead runs the repo "
+            "invariant linter"
         ),
     )
     parser.add_argument(
@@ -103,36 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--remote-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "localhost worker processes the remote:<inner> backends spawn "
-            "per sweep (default: 2 without --remote-listen, else 0); 0 "
-            "relies entirely on externally connected workers"
-        ),
-    )
-    parser.add_argument(
-        "--remote-listen",
-        metavar="HOST:PORT",
-        default=None,
-        help=(
-            "bind address for the remote:<inner> coordinator so workers "
-            "started elsewhere ('react-repro worker --connect HOST:PORT') "
-            "can join the sweep; default binds 127.0.0.1 on an ephemeral "
-            "port, reachable only by the locally spawned workers"
-        ),
-    )
-    parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help=(
-            "enable structured scheduling logs (worker connects, shard "
-            "dispatch/complete/requeue, retries, per-shard wall-clock)"
-        ),
-    )
-    parser.add_argument(
         "--no-fast-forward",
         action="store_true",
         help=(
@@ -147,14 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     arguments = list(sys.argv[1:] if argv is None else argv)
-    if arguments and arguments[0] == "worker":
-        # The worker subcommand has a disjoint argument set (--connect et
-        # al.), so it owns its own parser rather than polluting this one.
-        from repro.experiments.remote.worker import main as worker_main
-
-        return worker_main(arguments[1:])
     if arguments and arguments[0] == "lint":
-        # Same pattern: the invariant linter owns its own parser.
+        # The invariant linter has a disjoint argument set, so it owns its
+        # own parser rather than polluting this one.
         from repro.analysis.lint.cli import main as lint_main
 
         return lint_main(arguments[1:])
@@ -164,15 +120,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.workers is not None and args.workers < 1:
         parser.error(f"--workers must be at least 1, got {args.workers}")
-    if args.remote_workers is not None and args.remote_workers < 0:
-        parser.error(
-            f"--remote-workers must be at least 0, got {args.remote_workers}"
-        )
-    if args.verbose:
-        logging.basicConfig(
-            level=logging.INFO,
-            format="%(asctime)s %(name)s %(levelname)s %(message)s",
-        )
 
     settings = ExperimentSettings(
         quick=args.quick,
@@ -182,8 +129,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         fast_forward=not args.no_fast_forward,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        remote_workers=args.remote_workers,
-        remote_listen=args.remote_listen,
     )
 
     if args.experiment == "list":

@@ -78,16 +78,9 @@ class ExperimentSettings:
     :mod:`repro.experiments.store`): setting it wraps the selected backend
     in its memoizing ``cached:<name>`` variant, and ``use_cache=False``
     (the ``--no-cache`` flag) strips the wrapper even from an explicitly
-    cached :attr:`backend` name.
-
-    ``remote_workers`` and ``remote_listen`` configure the ``remote:<inner>``
-    transport backends (see :mod:`repro.experiments.remote`):
-    ``remote_workers`` is the number of localhost worker processes the
-    coordinator spawns for the sweep (``None`` defaults to 2 when no listen
-    address is given, else 0), and ``remote_listen`` is a ``HOST:PORT``
-    bind address for workers started elsewhere with ``react-repro worker
-    --connect``.  Like ``workers``, both are execution-only knobs — they
-    never change results and are excluded from cache fingerprints.
+    cached :attr:`backend` name.  ``workers``, ``backend``, ``cache_dir``
+    and ``use_cache`` are execution-only knobs: they never change results
+    and are excluded from cache fingerprints.
     """
 
     quick: bool = False
@@ -103,8 +96,6 @@ class ExperimentSettings:
     backend: Optional[str] = None
     cache_dir: Optional[str] = None
     use_cache: bool = True
-    remote_workers: Optional[int] = None
-    remote_listen: Optional[str] = None
 
     @property
     def backend_name(self) -> str:

@@ -16,8 +16,8 @@ Cache keys are *content addresses*:
 * Settings canonicalize field-order-independently, dropping fields that
   equal their declared defaults (spelling a default explicitly and leaving
   it unset hash identically) and the execution-only knobs (``workers``,
-  ``batch``, ``backend``, ``cache_dir``, ``use_cache``) that cannot change
-  results — so a result computed under ``cached:pool+batch`` is a hit for
+  ``backend``, ``cache_dir``, ``use_cache``) that cannot change results —
+  so a result computed under ``cached:pool+batch`` is a hit for
   ``cached:serial``.
 * ``buffer_factory`` (and any other callable) is identified by its
   module-qualified import path — the same picklability contract the pool
@@ -96,8 +96,6 @@ EXECUTION_ONLY_FIELDS = frozenset(
         "cache_dir",
         "use_cache",
         "workers",
-        "remote_workers",
-        "remote_listen",
     }
 )
 
@@ -399,23 +397,13 @@ class CachedBackend:
     :attr:`last_run_stats`, which :func:`repro.experiments.sweep` surfaces
     as ``SweepResult.cache_stats``.  ``progress`` fires in spec order after
     the grid completes (hits and misses finish interleaved, so there is no
-    meaningful earlier moment per cell).
-
-    ``write_stats_file`` controls the per-root ``store-stats.json`` dump:
-    remote sweep *workers* write results through a shared store but pass
-    ``False`` so their partial, per-process counters never clobber the
-    coordinating client's stats file.
+    meaningful earlier moment per cell).  Every run ends by dumping the
+    store root's process-cumulative stats to ``store-stats.json``.
     """
 
-    def __init__(
-        self,
-        inner: "ExecutionBackend",
-        store: ResultStore,
-        write_stats_file: bool = True,
-    ) -> None:
+    def __init__(self, inner: "ExecutionBackend", store: ResultStore) -> None:
         self.inner = inner
         self.store = store
-        self.write_stats_file = write_stats_file
         self.last_run_stats: Optional[StoreStats] = None
 
     @property
@@ -443,8 +431,7 @@ class CachedBackend:
                 self.store.store(specs[index], result)
                 results[index] = result
         self.last_run_stats = self.store.stats - before
-        if self.write_stats_file:
-            self.store.write_stats()
+        self.store.write_stats()
         ordered: List[SimulationResult] = []
         for result in results:
             assert result is not None  # every spec is a hit or a computed miss

@@ -1,7 +1,7 @@
 """The one result-equivalence oracle every equivalence test compares through.
 
 Every execution path — the scalar fast paths, the lockstep batch engine,
-the ``pool+batch``, ``cached:`` and ``remote:`` backends — must reproduce
+the ``pool``, ``pool+batch`` and ``cached:`` backends — must reproduce
 the step-by-step scalar engine's results exactly: counters, additively
 accumulated timestamps, workload metrics and the energy ledger, all with
 ``==``.  Each whole-segment replay adds the same ledger addends in the same

@@ -1,12 +1,11 @@
 """The pluggable execution-backend API.
 
-Four contracts are pinned here:
+Five contracts are pinned here:
 
-* **Backend names** — the sixteen valid names of the
-  ``[cached:][remote:]<backend>`` grammar each resolve to a pinned class,
-  unknown names fail with the valid ones listed, and an out-of-tree
-  backend instance runs a grid through the runner without any runner
-  changes.
+* **Backend names** — the eight valid names of the ``[cached:]<backend>``
+  grammar each resolve to a pinned class, unknown names fail with the
+  valid ones listed, and an out-of-tree backend instance runs a grid
+  through the runner without any runner changes.
 * **`pool+batch` equivalence** — the composed backend runs the *full*
   quick-mode grid (every workload, trace, and buffer: static-kernel lanes
   shard into lockstep batches, and every cell of a group narrower than its
@@ -14,6 +13,10 @@ Four contracts are pinned here:
   trace — is a one-cell shard that runs scalar) and returns the serial
   backend's results in serial order, exactly (``tests/oracle.py``:
   counters, times, metrics and energy ledgers all ``==``).
+* **Shard planning** — :func:`~repro.experiments.backends.plan_shards`
+  puts every spec in exactly one shard, in spec order; lane shards never
+  go below their kernel's lane floor, and every other cell is a one-cell
+  shard.
 * **Lane floors** — a lane group batches exactly when it is at least as
   wide as its kernel's floor, under ``batch`` and ``pool+batch`` alike.
 * **Ordered collection** — pool-style backends must hide out-of-order
@@ -46,7 +49,6 @@ from repro.experiments.backends import (
     resolve_backend,
     trace_groups,
 )
-from repro.experiments.remote import RemoteBackend
 from repro.experiments.store import CachedBackend
 from repro.experiments.runner import ExperimentRunner, ExperimentSettings
 from repro.experiments import sweep
@@ -143,32 +145,35 @@ class TestRegistry:
         assert resolve_backend("pool", ExperimentSettings()).workers == host
 
     def test_unknown_backend_error_lists_registry(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            resolve_backend("quantum", QUICK)
-        message = str(excinfo.value)
-        assert "quantum" in message
-        for name in ("serial", "pool", "batch", "pool+batch"):
-            assert name in message
+        for unknown in ("quantum", "cached:cached:serial", "remote:serial", "cached:"):
+            with pytest.raises(ConfigurationError) as excinfo:
+                resolve_backend(unknown, QUICK)
+            message = str(excinfo.value)
+            assert repr(unknown) in message
+            for name in ("serial", "pool", "batch", "pool+batch"):
+                assert name in message
 
     def test_backend_names_and_classes_are_pinned(self, tmp_path):
-        """Exactly the sixteen names of the grammar, each its own class."""
-        expected = {
+        """Exactly the eight names of the grammar, each its own class."""
+        plain = {
             "serial": SerialBackend,
             "pool": ProcessPoolBackend,
             "batch": BatchBackend,
             "pool+batch": PoolBatchBackend,
         }
-        for plain in list(expected):
-            expected["remote:" + plain] = RemoteBackend
-            expected["cached:" + plain] = CachedBackend
-            expected["cached:remote:" + plain] = CachedBackend
+        expected = dict(plain)
+        for name in plain:
+            expected["cached:" + name] = CachedBackend
         assert available_backends() == tuple(sorted(expected))
-        assert len(available_backends()) == 16
+        assert len(available_backends()) == 8
         settings = ExperimentSettings(quick=True, cache_dir=str(tmp_path))
         for name, backend_class in expected.items():
             backend = resolve_backend(name, settings)
             assert type(backend) is backend_class, name
             assert backend.name == name
+            if backend_class is CachedBackend:
+                inner = name[len("cached:") :]
+                assert type(backend.inner) is plain[inner], name
 
     def test_custom_backend_round_trip_through_runner(self):
         """An out-of-tree backend instance runs a grid, no runner changes."""
@@ -207,6 +212,55 @@ class TestPartitioning:
         assert _split_evenly(list(range(7)), 3) == [[0, 1, 2], [3, 4], [5, 6]]
         assert _split_evenly(list(range(4)), 9) == [[0], [1], [2], [3]]
         assert _split_evenly(list(range(4)), 1) == [[0, 1, 2, 3]]
+
+
+class TestShardPlanning:
+    def test_every_spec_in_exactly_one_shard_in_order(self):
+        specs = ExperimentRunner(QUICK).grid_specs()
+        shards = plan_shards(specs, workers=3)
+        seen = [index for shard in shards for index in shard]
+        assert sorted(seen) == list(range(len(specs)))
+        assert shards == sorted(shards)  # shards in spec order
+        for shard in shards:
+            assert list(shard) == sorted(shard)
+            group_keys = {specs[i].group_key for i in shard}
+            assert len(group_keys) == 1  # one trace (and kernel) per shard
+
+    def test_wide_lane_group_splits_but_not_below_min_lanes(self, lane_floors):
+        specs = ExperimentRunner(
+            QUICK, buffer_factory=capacitance_ladder_buffers
+        ).grid_specs(workloads=("SC",), trace_names=("RF Cart",))
+        lane_floors(static=6)
+        shards = plan_shards(specs, workers=3)
+        assert len(shards) == 2  # twelve lanes split in two, floor of six
+        assert all(len(shard) >= 6 for shard in shards)
+        lane_floors(static=12)
+        assert plan_shards(specs, workers=3) == plan_shards(
+            specs, workers=1
+        )  # too narrow to split, whatever the worker count
+
+    def test_groups_below_min_lanes_become_one_cell_shards(self, lane_floors):
+        """The paper grid's Morphy group of four sits below a floor of five,
+        so each of its cells is a shard of its own, not one narrow shard."""
+        lane_floors(5)
+        specs = ExperimentRunner(QUICK).grid_specs(
+            workloads=("DE", "SC", "RT", "PF"), trace_names=("RF Cart",)
+        )
+        morphy = [i for i, spec in enumerate(specs) if spec.buffer_index == 3]
+        assert len(morphy) == 4
+        shards = plan_shards(specs, workers=2)
+        assert [shard for shard in shards if shard[0] in morphy] == [
+            (index,) for index in morphy
+        ]
+
+    def test_shard_count_tracks_worker_count(self, lane_floors):
+        lane_floors(static=2)
+        specs = ExperimentRunner(
+            QUICK, buffer_factory=capacitance_ladder_buffers
+        ).grid_specs(workloads=("SC",), trace_names=("RF Cart",))
+        assert len(plan_shards(specs, workers=4)) > len(
+            plan_shards(specs, workers=1)
+        )
 
 
 class TestLaneFloors:

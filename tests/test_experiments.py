@@ -325,9 +325,18 @@ class TestCli:
         assert "pool+batch" in captured.err and "serial" in captured.err
 
     def test_legacy_flags_are_gone(self):
-        """`--batch` is rejected; a bare `--workers` runs without a warning."""
+        """`--batch`, the distributed-sweep flags and the `worker` subcommand
+        are rejected; a bare `--workers` runs without a warning."""
+        for flags in (
+            ["--batch"],
+            ["--remote-workers", "2"],
+            ["--remote-listen", "127.0.0.1:9123"],
+            ["--verbose"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["table2", *flags])
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["table2", "--batch"])
+            main(["worker", "--connect", "127.0.0.1:9123"])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["list", "--workers", "2"]) == 0

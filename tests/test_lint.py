@@ -249,103 +249,6 @@ class TestPicklableSettings:
 
 
 # ----------------------------------------------------------------------
-# thread-ownership
-# ----------------------------------------------------------------------
-
-# A condensed version of remote/coordinator.py's shape: an accept thread
-# and per-connection readers feeding one event queue, with the main
-# dispatch loop owning the scheduling dict.
-_COORDINATOR_GOOD = """
-    import queue
-    import threading
-
-
-    class Coordinator:
-        def __init__(self):
-            self.events = queue.Queue()
-            self.pending = {}
-            self.lock = threading.Lock()
-            self.stats = 0
-
-        def serve(self, connections):
-            for connection in connections:
-                thread = threading.Thread(target=self._reader, args=(connection,))
-                thread.start()
-            while True:
-                kind, payload = self.events.get()
-                self.pending[kind] = payload  # main loop owns scheduling state
-
-        def _reader(self, connection):
-            for message in connection:
-                self.events.put(("result", message))  # channel: fine
-                with self.lock:
-                    self.stats += 1  # held lock: fine
-    """
-
-_COORDINATOR_BAD = """
-    import queue
-    import threading
-
-
-    class Coordinator:
-        def __init__(self):
-            self.events = queue.Queue()
-            self.pending = {}
-
-        def serve(self, connections):
-            for connection in connections:
-                thread = threading.Thread(target=self._reader, args=(connection,))
-                thread.start()
-            while True:
-                kind, payload = self.events.get()
-                self.pending[kind] = payload
-
-        def _reader(self, connection):
-            for message in connection:
-                self.pending["done"] = message  # race: reader writes main state
-    """
-
-
-class TestThreadOwnership:
-    def test_flags_cross_thread_mutation(self):
-        result = run_rule(
-            "thread-ownership", "repro/experiments/remote/fake.py", _COORDINATOR_BAD
-        )
-        assert rules_of(result) == ["thread-ownership"]
-        finding = result.findings[0]
-        assert "pending" in finding.message
-        assert "thread:_reader" in finding.message
-        assert 'self.pending["done"] = message' in finding.line_text
-
-    def test_queue_and_lock_channels_pass(self):
-        result = run_rule(
-            "thread-ownership", "repro/experiments/remote/fake.py", _COORDINATOR_GOOD
-        )
-        assert result.clean
-
-    def test_classes_without_threads_are_ignored(self):
-        result = run_rule(
-            "thread-ownership",
-            "repro/experiments/remote/fake.py",
-            """
-            class Plain:
-                def work(self):
-                    self.state = 1
-
-                def other(self):
-                    self.state = 2
-            """,
-        )
-        assert result.clean
-
-    def test_only_remote_modules_are_in_scope(self):
-        result = run_rule(
-            "thread-ownership", "repro/experiments/local.py", _COORDINATOR_BAD
-        )
-        assert result.clean
-
-
-# ----------------------------------------------------------------------
 # exception-discipline
 # ----------------------------------------------------------------------
 
@@ -374,7 +277,7 @@ class TestExceptionDiscipline:
     def test_logging_or_reraising_handlers_pass(self):
         result = run_rule(
             "exception-discipline",
-            "repro/experiments/remote/worker.py",
+            "repro/experiments/store.py",
             """
             import logging
 
@@ -395,6 +298,20 @@ class TestExceptionDiscipline:
                 except Exception:
                     raise
                 except ValueError:
+                    return None
+            """,
+        )
+        assert result.clean
+
+    def test_only_the_store_is_in_scope(self):
+        result = run_rule(
+            "exception-discipline",
+            "repro/experiments/backends.py",
+            """
+            def load(path):
+                try:
+                    return path.read_text()
+                except Exception:
                     return None
             """,
         )

@@ -1,9 +1,9 @@
 """The content-addressed result store and the memoizing ``cached:`` backend.
 
-Four contracts are pinned here:
+Five contracts are pinned here:
 
 * **Fingerprint stability** — cache keys depend only on what a run
-  computes: field order, execution-only knobs (``workers``, ``batch``,
+  computes: field order, execution-only knobs (``workers``,
   ``backend``, ``cache_dir``, ``use_cache``), and explicitly spelled
   defaults never change a key, and a fresh interpreter (different hash
   randomization) derives the same key.
@@ -11,12 +11,16 @@ Four contracts are pinned here:
   entry; a corrupted or foreign entry is a miss, never a crash.
 * **Concurrency** — writes are atomic under a process pool hammering the
   same keys; no torn entry is ever loadable.
+* **Failed writes** — a write that fails (a full disk) propagates out of
+  the cached backend instead of passing as a miss, leaves no temp file,
+  and keeps every entry written before it loadable.
 * **Equivalence** — ``cached:serial`` returns the serial backend's results
   exactly on the full quick grid (``tests/oracle.py``: counters, metrics
   and ledgers all ``==``), both cold and warm, and the warm run performs
   zero simulator steps (proven with an inner backend that raises).
 """
 
+import errno
 import json
 import pickle
 import subprocess
@@ -283,6 +287,42 @@ class TestResultStore:
         assert path.name == STATS_FILENAME
         payload = json.loads(path.read_text())
         assert payload["writes"] == 1 and payload["hits"] == 1
+
+
+class TestFailedWrite:
+    def test_full_disk_propagates_and_keeps_earlier_entries(
+        self, tmp_path, monkeypatch
+    ):
+        """The third entry's write runs out of space half-way through."""
+        specs = ExperimentRunner(QUICK).grid_specs(
+            workloads=("SC",), trace_names=("RF Cart",)
+        )
+        serial = SerialBackend().run_specs(specs)
+        real_write_bytes = Path.write_bytes
+        entry_writes = []
+
+        def write_bytes(path, data):
+            if path.name.endswith(".tmp") and ".pkl." in path.name:
+                entry_writes.append(path)
+                if len(entry_writes) == 3:
+                    real_write_bytes(path, data[: len(data) // 2])
+                    raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            return real_write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+        backend = CachedBackend(SerialBackend(), ResultStore(tmp_path, salt="s"))
+        with pytest.raises(OSError) as excinfo:
+            backend.run_specs(specs)
+        assert excinfo.value.errno == errno.ENOSPC
+        assert list(tmp_path.rglob("*.tmp")) == []
+        monkeypatch.undo()
+
+        rerun = CachedBackend(SerialBackend(), ResultStore(tmp_path, salt="s"))
+        results = rerun.run_specs(specs)
+        assert rerun.last_run_stats.hits == 2
+        assert rerun.last_run_stats.misses == len(specs) - 2
+        for expected, actual in zip(serial, results):
+            assert_results_equivalent(expected, actual)
 
 
 class TestRegistryIntegration:
