@@ -26,17 +26,15 @@ from repro.core.config import ReactConfig, table1_config
 from repro.core.controller import ReactController
 from repro.core.hardware import ReactHardware
 from repro.platform.monitor import BufferSignal
-from repro.units import milliamps
+from repro.units import capacitor_energy, milliamps
 
 _INF = float("inf")
 
-#: Harvest target marker for the last-level buffer in :func:`replay_segment`.
-_LAST_LEVEL = object()
-
-#: Why :func:`_replay_run` stopped short of its bounds: a poll whose signal
-#: is not OK, or a step start the scalar stop checks must look at.
+#: Why :func:`_replay_run` stopped short of its bounds: a due poll that steps
+#: the fabric or reads NEAR_EMPTY, or an off-phase step start below the
+#: drain floor.
 _POLL = "poll"
-_CHECK = "check"
+_DRAIN = "drain"
 
 
 def replay_segment(
@@ -63,18 +61,19 @@ def replay_segment(
     object model.  Bounds are floats (``±inf`` for none); ``wake_energy``
     is the pending longevity request, or None.
 
-    Three events go back to the object model after a write-back, so their
-    policy keeps one copy: a controller poll whose signal is not OK (the
-    rest of that step runs through the powered tail of
-    :meth:`ReactBuffer.housekeeping`), the drain reachability test
-    (:meth:`ReactBuffer.can_reach_voltage`) and the longevity wake test
-    (:meth:`ReactBuffer.usable_energy`).
+    Two events go back to the object model after a write-back, so the
+    controller's stepping policy and the drain test keep one copy each: a
+    due poll that steps the fabric or reads NEAR_EMPTY (the rest of that
+    step runs through the powered tail of :meth:`ReactBuffer.housekeeping`)
+    and the drain reachability test (:meth:`ReactBuffer.can_reach_voltage`).
+    Polls that only advance the schedule and the longevity wake test
+    (:meth:`ReactBuffer.usable_energy`) run inside the replay.
 
     Returns ``(steps, end_time)``; ``end_time`` adds ``dt`` once per
     committed step, the engine's additive accumulation.
     """
     steps = 0
-    checked = -1  # step count at which the scalar stop checks last passed
+    checked = -1  # step count at which the drain test last passed
     while True:
         steps, time, handoff = _replay_run(
             buffer,
@@ -89,7 +88,7 @@ def replay_segment(
             stop_below,
             brownout_floor,
             drain_floor,
-            wake_energy is not None,
+            wake_energy,
             checked,
         )
         if handoff is _POLL:
@@ -100,17 +99,8 @@ def replay_segment(
             steps += 1
             if buffer.output_voltage < stop_below:
                 break
-        elif handoff is _CHECK:
-            if (
-                wake_energy is not None
-                and buffer.usable_energy() + 2.0 * energy >= wake_energy
-            ):
-                break
-            if (
-                steps
-                and buffer.output_voltage < drain_floor
-                and not buffer.can_reach_voltage(drain_floor)
-            ):
+        elif handoff is _DRAIN:
+            if not buffer.can_reach_voltage(drain_floor):
                 break
             checked = steps
         else:
@@ -131,7 +121,7 @@ def _replay_run(
     stop_below,
     brownout_floor,
     drain_floor,
-    waking,
+    wake_energy,
     checked,
 ):
     """Replay steps on flat state until a bound or a hand-off; write back.
@@ -140,86 +130,144 @@ def _replay_run(
     (with :meth:`~ReactBuffer.overhead_current`) and
     :meth:`~ReactBuffer.housekeeping` — the hardware's harvest scan,
     ``Capacitor`` charge/discharge/leakage, bank absorb/leakage,
-    replenishment and the controller's OK poll — expression for expression,
-    adding each addend to its running total in the step path's order, so the
-    committed state is bit-identical to stepping.
+    replenishment and every controller poll that does not step the fabric
+    — expression for expression, adding each addend to its running total in
+    the step path's order, so the committed state is bit-identical to
+    stepping.  The wake test is :meth:`ReactHardware.usable_energy` on the
+    flat state.
+
+    One pass over the banks per step, the leakage loop, also yields the
+    largest connected output and its bank (:func:`_replenish` runs only when
+    that output exceeds the last level by more than the diode's 1e-9 V, and
+    starts from that bank) and the harvest's lowest eligible bank.
+    :func:`_scan` redoes them only when a bank absorbs harvest and the
+    harvest goes on, or when the powered replenishment moves charge.
 
     Returns ``(steps, time, handoff)``: ``handoff`` is None at a bound,
-    ``_CHECK`` before a step whose start the wake or drain test must see,
-    and ``_POLL`` in the middle of a step whose due poll reads a non-OK
-    signal (after the step's harvest, draw, replenishment and leakage; its
-    ``time`` and ``steps`` are not yet advanced).
+    ``_DRAIN`` before a step that starts below ``drain_floor`` (and has not
+    passed the drain test), and ``_POLL`` in the middle of a step whose due
+    poll steps the fabric or reads NEAR_EMPTY (after the step's harvest,
+    draw, replenishment and leakage; its ``time`` and ``steps`` are not yet
+    advanced).
     """
+    (
+        connected,
+        leaks,
+        can_step_up,
+        hardware_power,
+        capacitance,
+        ll_max_energy,
+        max_voltage,
+        ll_leak_current,
+        ll_leak_voltage,
+        brownout,
+        ll_floor,
+    ) = _fabric(buffer)
     hardware = buffer.hardware
     last_level = hardware.last_level
     monitor = hardware.monitor
-    config = buffer.config
-    capacitance = last_level.capacitance
-    rated = last_level.rated_voltage
-    ll_max_energy = 0.5 * capacitance * rated * rated
-    max_voltage = config.max_voltage
-    ll_threshold = max_voltage - 1e-9
-    ll_leak_current = last_level.leakage.rated_current
-    ll_leak_voltage = last_level.leakage.rated_voltage
-    leaks = []
-    for bank in hardware.banks:
-        leakage = bank.leakage
-        if type(leakage) is ConstantCurrentLeakage:
-            rates = (leakage.leakage_current, None)
-        else:
-            rates = (leakage.rated_current, leakage.rated_voltage)
-        leaks.append((bank.spec.count, bank.spec.unit_capacitance) + rates)
-    rounds = 1 + len(leaks)
+    controller = buffer.controller
+    ll_ledger = last_level.ledger
+    ledger = buffer.ledger
     high = monitor.high_threshold
     low = monitor.low_threshold
-    period = buffer.controller.config.poll_period
-    brownout = config.brownout_voltage
+    period = controller.config.poll_period
+    expansion_interval = controller.expansion_min_interval
+    last_expansion = controller._last_expansion_time
     software = buffer._software_overhead_current
+    ll_threshold = max_voltage - 1e-9
+    rounds = 1 + len(leaks)
+    # A finite post-harvest voltage never reaches +inf: skip that bound.
+    bounded = energy > 0.0 and stop_above < _INF
+    boost = 2.0 * energy / capacitance
+    waking = wake_energy is not None
+    wake_boost = 2.0 * energy
     sqrt = math.sqrt
 
-    charge, cells, bank_leaked, connected, totals = _load(buffer)
-    hw_clipped, hw_leaked, hw_transfer, clip_base, leak_base, transfer_base = totals[:6]
-    ll_absorbed, ll_delivered, ll_clipped, ll_leaked = totals[6:10]
-    next_poll, poll_count = totals[10:12]
-    offered, stored, delivered, clipped, leaked, switching, signal = totals[12:]
-    hardware_power = (
-        config.instrumentation_power + len(connected) * config.per_bank_overhead_power
-    )
+    charge = last_level._charge
+    cells = [bank.cell_voltage for bank in hardware.banks]
+    bank_leaked = [bank.energy_leaked for bank in hardware.banks]
+    hw_clipped = hardware.energy_clipped
+    hw_leaked = hardware.energy_leaked
+    hw_transfer = hardware.transfer_loss
+    clip_base = buffer._clip_baseline
+    leak_base = buffer._leak_baseline
+    transfer_base = buffer._transfer_baseline
+    ll_absorbed = ll_ledger.absorbed
+    ll_delivered = ll_ledger.delivered
+    ll_clipped = ll_ledger.clipped
+    ll_leaked = ll_ledger.leaked
+    next_poll = controller._next_poll_time
+    poll_count = controller.poll_count
+    offered = ledger.offered
+    stored = ledger.stored
+    delivered = ledger.delivered
+    clipped = ledger.clipped
+    leaked = ledger.leaked
+    switching = ledger.switching_loss
+    signal = monitor.last_signal
+    lowest, lowest_output, source, highest = _scan(cells, connected)
     handoff = None
     while steps < max_steps:
         voltage = charge / capacitance
         if voltage <= brownout_floor or voltage >= stop_above:
             break
-        if (
-            energy > 0.0
-            and sqrt(voltage * voltage + 2.0 * energy / capacitance) >= stop_above
-        ):
+        if bounded and sqrt(voltage * voltage + boost) >= stop_above:
             break
-        if steps > checked and (waking or (steps and voltage < drain_floor)):
-            handoff = _CHECK
+        if waking:
+            # ReactHardware.usable_energy, connected banks in bank order.
+            usable = 0.5 * capacitance * voltage * voltage - ll_floor
+            usable = usable if usable > 0.0 else 0.0
+            for bank in connected:
+                cell = cells[bank[0]]
+                surplus = bank[4] * (bank[5] * cell * cell) - bank[8]
+                usable += surplus if surplus > 0.0 else 0.0
+            if usable + wake_boost >= wake_energy:
+                break
+        if voltage < drain_floor and steps and steps > checked:
+            handoff = _DRAIN
             break
 
-        # -- harvest: the input diodes feed the lowest-voltage element.
+        # -- harvest: the input diodes feed the lowest-voltage element
+        # (the last level on a tie: it comes first in the scan).
         offered += energy
         remaining = energy
         stored_total = 0.0
+        absorbed_by_bank = False
         for _ in range(rounds):
             if remaining <= 0.0:
                 break
-            target = None
-            best = 0.0
+            if absorbed_by_bank:
+                lowest, lowest_output, source, highest = _scan(cells, connected)
+                absorbed_by_bank = False
             voltage = charge / capacitance
-            if voltage < ll_threshold:
-                target = _LAST_LEVEL
-                best = voltage
-            for bank in connected:
-                output = cells[bank[0]] * bank[1]
-                if output < bank[3] and (target is None or output < best):
-                    target = bank
-                    best = output
-            if target is None:
-                break
-            if target is _LAST_LEVEL:
+            if lowest is not None and (
+                voltage >= ll_threshold or lowest_output < voltage
+            ):
+                index, multiplier, _, _, count, half, count_unit, ceiling, _ = lowest
+                cell = cells[index]
+                present = count * (half * cell * cell)
+                room = ceiling - present
+                if not room > 0.0:
+                    room = 0.0
+                gained = room if room < remaining else remaining
+                if gained <= 0.0:
+                    break
+                cell = sqrt(2.0 * (present + gained) / count_unit)
+                cells[index] = cell
+                # Only this bank moved, so the next round rescans for the
+                # lowest, and the largest output is this one if it is
+                # larger.  Otherwise ``highest`` stays an upper bound (all
+                # the replenishment test needs) and, if this bank may have
+                # been or tied the first largest, _replenish rescans.
+                output = cell * multiplier
+                if output > highest:
+                    highest = output
+                    source = lowest
+                elif source is lowest or output == highest:
+                    source = None
+                absorbed_by_bank = True
+            elif voltage < ll_threshold:
                 present = 0.5 * capacitance * voltage * voltage
                 new_energy = present + remaining
                 if new_energy > ll_max_energy:
@@ -230,18 +278,9 @@ def _replay_run(
                 charge = capacitance * sqrt(2.0 * new_energy / capacitance)
                 voltage = charge / capacitance
                 gained = 0.5 * capacitance * voltage * voltage - present
-            else:
-                index, _, _, _, count, unit, count_unit, ceiling = target
-                cell = cells[index]
-                present = count * (0.5 * unit * cell * cell)
-                room = ceiling - present
-                if not room > 0.0:
-                    room = 0.0
-                gained = room if room < remaining else remaining
                 if gained <= 0.0:
                     break
-                cells[index] = sqrt(2.0 * (present + gained) / count_unit)
-            if gained <= 0.0:
+            else:
                 break
             stored_total += gained
             remaining -= gained
@@ -267,11 +306,12 @@ def _replay_run(
         delivered += drawn
 
         # -- housekeeping: replenish, leak, poll (powered only), replenish.
-        if connected:
+        if highest > charge / capacitance + 1e-9:
             charge, hw_clipped, hw_transfer = _replenish(
                 charge,
                 cells,
                 connected,
+                source,
                 capacitance,
                 max_voltage,
                 hw_clipped,
@@ -288,43 +328,63 @@ def _replay_run(
         voltage = charge / capacitance
         step_leaked = before - 0.5 * capacitance * voltage * voltage
         ll_leaked += step_leaked
-        for index, (count, unit, rate, rated_voltage) in enumerate(leaks):
+        lowest = source = None
+        lowest_output = _INF
+        highest = -_INF
+        for index, count, unit, half_unit, rate, rated_voltage, bank in leaks:
             cell = cells[index]
-            if cell <= 0.0:
-                continue
-            before = count * (0.5 * unit * cell * cell)
-            if rated_voltage is None:
-                lost = rate * dt
-            else:
-                lost = rate * (cell / rated_voltage) * dt
-            cell_charge = unit * cell - lost
-            if cell_charge < 0.0:
-                cell_charge = 0.0
-            cell = cell_charge / unit
-            cells[index] = cell
-            amount = before - count * (0.5 * unit * cell * cell)
-            bank_leaked[index] += amount
-            step_leaked += amount
+            if cell > 0.0:
+                before = count * (half_unit * cell * cell)
+                if rated_voltage is None:
+                    lost = rate * dt
+                else:
+                    lost = rate * (cell / rated_voltage) * dt
+                cell_charge = unit * cell - lost
+                if cell_charge < 0.0:
+                    cell_charge = 0.0
+                cell = cell_charge / unit
+                cells[index] = cell
+                amount = before - count * (half_unit * cell * cell)
+                bank_leaked[index] += amount
+                step_leaked += amount
+            if bank is not None:
+                output = cell * bank[1]
+                if output > highest:
+                    highest = output
+                    source = bank
+                if output < bank[3] and output < lowest_output:
+                    lowest = bank
+                    lowest_output = output
         hw_leaked += step_leaked
         if system_on:
             if time >= next_poll:
                 voltage = charge / capacitance
-                if voltage >= high or voltage <= low:
+                if voltage >= high:
+                    # ReactController.poll steps up only when a bank can,
+                    # and only past the expansion rate limit.
+                    if can_step_up and time - last_expansion >= expansion_interval:
+                        handoff = _POLL
+                        break
+                    signal = BufferSignal.NEAR_FULL
+                elif voltage <= low:
                     handoff = _POLL
                     break
+                else:
+                    signal = BufferSignal.OK
                 next_poll = time + period
                 poll_count += 1
-                signal = BufferSignal.OK
-            if connected:
+            if highest > charge / capacitance + 1e-9:
                 charge, hw_clipped, hw_transfer = _replenish(
                     charge,
                     cells,
                     connected,
+                    source,
                     capacitance,
                     max_voltage,
                     hw_clipped,
                     hw_transfer,
                 )
+                lowest, lowest_output, source, highest = _scan(cells, connected)
         leaked += hw_leaked - leak_base
         leak_base = hw_leaked
         switching += hw_transfer - transfer_base
@@ -336,27 +396,76 @@ def _replay_run(
         steps += 1
         if charge / capacitance < stop_below:
             break
-    totals = (hw_clipped, hw_leaked, hw_transfer, clip_base, leak_base, transfer_base)
-    totals += (ll_absorbed, ll_delivered, ll_clipped, ll_leaked, next_poll, poll_count)
-    totals += (offered, stored, delivered, clipped, leaked, switching, signal)
-    _store(buffer, charge, cells, bank_leaked, totals)
+
+    last_level._charge = charge
+    for bank, cell, bank_total in zip(hardware.banks, cells, bank_leaked):
+        bank.cell_voltage = cell
+        bank.energy_leaked = bank_total
+    hardware.energy_clipped = hw_clipped
+    hardware.energy_leaked = hw_leaked
+    hardware.transfer_loss = hw_transfer
+    buffer._clip_baseline = clip_base
+    buffer._leak_baseline = leak_base
+    buffer._transfer_baseline = transfer_base
+    ll_ledger.absorbed = ll_absorbed
+    ll_ledger.delivered = ll_delivered
+    ll_ledger.clipped = ll_clipped
+    ll_ledger.leaked = ll_leaked
+    controller._next_poll_time = next_poll
+    controller.poll_count = poll_count
+    ledger.offered = offered
+    ledger.stored = stored
+    ledger.delivered = delivered
+    ledger.clipped = clipped
+    ledger.leaked = leaked
+    ledger.switching_loss = switching
+    monitor.last_signal = signal
     return steps, time, handoff
 
 
-def _replenish(charge, cells, connected, capacitance, max_voltage, clipped, transfer):
+def _scan(cells, connected):
+    """The harvest's lowest eligible bank and the replenishment source.
+
+    Returns ``(lowest, its output, source, its output)``:
+    :meth:`ReactHardware._lowest_voltage_element`'s bank scan (first strict
+    minimum below the clamp, in bank order) and
+    :meth:`ReactHardware.replenish`'s (first maximum); None and ``+inf``
+    with no eligible bank, None and ``-inf`` with no connected bank.
+    """
+    lowest = source = None
+    lowest_output = _INF
+    highest = -_INF
+    for bank in connected:
+        output = cells[bank[0]] * bank[1]
+        if output > highest:
+            highest = output
+            source = bank
+        if output < bank[3] and output < lowest_output:
+            lowest = bank
+            lowest_output = output
+    return lowest, lowest_output, source, highest
+
+
+def _replenish(
+    charge, cells, connected, source, capacitance, max_voltage, clipped, transfer
+):
     """:meth:`ReactHardware.replenish` on flat state, expression for expression.
 
-    Returns ``(charge, clipped, transfer)``; bank cells update in place.
+    ``source`` is the first round's source bank (the first largest output)
+    when the caller knows it, else None.  Returns ``(charge, clipped,
+    transfer)``; bank cells update in place.
     """
     rounds = len(cells)
     for _ in range(rounds):
-        source = None
-        source_voltage = 0.0
-        for bank in connected:
-            voltage = cells[bank[0]] * bank[1]
-            if source is None or voltage > source_voltage:
-                source = bank
-                source_voltage = voltage
+        if source is None:
+            source_voltage = 0.0
+            for bank in connected:
+                voltage = cells[bank[0]] * bank[1]
+                if source is None or voltage > source_voltage:
+                    source = bank
+                    source_voltage = voltage
+        else:
+            source_voltage = cells[source[0]] * source[1]
         sink_voltage = charge / capacitance
         if source_voltage <= sink_voltage + 1e-9:
             break
@@ -390,120 +499,110 @@ def _replenish(charge, cells, connected, capacitance, max_voltage, clipped, tran
         cells[source[0]] = final_voltage / source[1]
         charge = capacitance * final_voltage
         transfer += dissipated
+        source = None
     return charge, clipped, transfer
 
 
-def _load(buffer: "ReactBuffer") -> tuple:
-    """The flat state :func:`replay_segment` advances, read from ``buffer``.
+def _fabric(buffer: "ReactBuffer") -> Optional[tuple]:
+    """The replay's per-fabric constants, or None if a leakage model is unknown.
 
-    Returns ``(charge, cells, bank_leaked, connected, totals)``: the
-    last-level charge, each bank's cell voltage and cumulative leakage
-    (lists, updated in place), one constants tuple per connected bank in
+    Cached on the buffer and rebuilt only after a topology change
+    (:attr:`ReactHardware.topology_version`) or when a leakage model
+    object changes, so a short segment pays one list comparison for them.
+    The replay knows a voltage-proportional last level and
+    voltage-proportional or constant-current banks, as the lockstep
+    kernel does.
+
+    The tuple holds the connected-bank rows, one per connected bank in
     bank order — ``(index, multiplier, capacitance, threshold, count,
-    unit, count * unit, absorb ceiling)`` with ``multiplier`` the cell
-    count in series and 1 in parallel, so ``cell * multiplier`` is the
-    bank output exactly — and, in :func:`_store`'s order, every running
-    total, the controller's poll schedule and the monitor's latched signal.
+    0.5 * unit, count * unit, absorb ceiling, stranded floor)`` with
+    ``multiplier`` the cell count in series and 1 in parallel, so ``cell *
+    multiplier`` is the bank output exactly — the leak rows, one per bank
+    — ``(index, count, unit, 0.5 * unit, rate, rated voltage or None,
+    connected row or None)`` — whether any bank can step up, the hardware
+    overhead power, and the last level's capacitance, clamp energy, clamp
+    voltage, leakage rates, brown-out voltage and brown-out energy.  A cell
+    energy ``count * (0.5 * unit * cell * cell)`` evaluates left to right,
+    so ``count * (half_unit * cell * cell)`` is the same float.
     """
     hardware = buffer.hardware
+    models = [bank.leakage for bank in hardware.banks]
+    models.append(hardware.last_level.leakage)
+    version = hardware.topology_version
+    cached = buffer._fabric_cache
+    if cached is not None and cached[0] == version and cached[1] == models:
+        return cached[2]
+    fabric = _build_fabric(buffer)
+    buffer._fabric_cache = (version, models, fabric)
+    return fabric
+
+
+def _build_fabric(buffer: "ReactBuffer") -> Optional[tuple]:
+    """Compute what :func:`_fabric` caches."""
+    hardware = buffer.hardware
     last_level = hardware.last_level
-    max_voltage = buffer.config.max_voltage
+    config = buffer.config
+    if type(last_level.leakage) is not VoltageProportionalLeakage:
+        return None
+    max_voltage = config.max_voltage
     connected = []
+    leaks = []
+    can_step_up = False
     for index, bank in enumerate(hardware.banks):
+        leakage = bank.leakage
+        if type(leakage) is ConstantCurrentLeakage:
+            rates = (leakage.leakage_current, None)
+        elif type(leakage) is VoltageProportionalLeakage:
+            rates = (leakage.rated_current, leakage.rated_voltage)
+        else:
+            return None
         state = bank.state
-        if state is BankState.DISCONNECTED:
-            continue
+        can_step_up = can_step_up or bank.can_step_up
         spec = bank.spec
         count = spec.count
         unit = spec.unit_capacitance
-        if state is BankState.SERIES:
-            multiplier = count
-            capacitance = spec.series_capacitance
-            ceiling = bank.rated_cell_voltage * count
-        else:
-            multiplier = 1
-            capacitance = spec.parallel_capacitance
-            ceiling = bank.rated_cell_voltage
-        # The clamp of _lowest_voltage_element and absorb_energy.
-        clamp = max_voltage if max_voltage < ceiling else ceiling
-        clamp_cell = clamp / multiplier
-        connected.append(
-            (
+        row = None
+        if state is not BankState.DISCONNECTED:
+            if state is BankState.SERIES:
+                multiplier = count
+                capacitance = spec.series_capacitance
+                ceiling = bank.rated_cell_voltage * count
+            else:
+                multiplier = 1
+                capacitance = spec.parallel_capacitance
+                ceiling = bank.rated_cell_voltage
+            # The clamp of _lowest_voltage_element and absorb_energy.
+            clamp = max_voltage if max_voltage < ceiling else ceiling
+            clamp_cell = clamp / multiplier
+            row = (
                 index,
                 multiplier,
                 capacitance,
                 clamp - 1e-9,
                 count,
-                unit,
+                0.5 * unit,
                 count * unit,
                 count * (0.5 * unit * clamp_cell * clamp_cell),
+                hardware._stranded_floor[index],
             )
-        )
-    ll_ledger = last_level.ledger
-    ledger = buffer.ledger
-    controller = buffer.controller
-    totals = (
-        hardware.energy_clipped,
-        hardware.energy_leaked,
-        hardware.transfer_loss,
-        buffer._clip_baseline,
-        buffer._leak_baseline,
-        buffer._transfer_baseline,
-        ll_ledger.absorbed,
-        ll_ledger.delivered,
-        ll_ledger.clipped,
-        ll_ledger.leaked,
-        controller._next_poll_time,
-        controller.poll_count,
-        ledger.offered,
-        ledger.stored,
-        ledger.delivered,
-        ledger.clipped,
-        ledger.leaked,
-        ledger.switching_loss,
-        hardware.monitor.last_signal,
-    )
+            connected.append(row)
+        leaks.append((index, count, unit, 0.5 * unit) + rates + (row,))
+    capacitance = last_level.capacitance
+    rated = last_level.rated_voltage
+    brownout = config.brownout_voltage
     return (
-        last_level._charge,
-        [bank.cell_voltage for bank in hardware.banks],
-        [bank.energy_leaked for bank in hardware.banks],
-        connected,
-        totals,
+        tuple(connected),
+        tuple(leaks),
+        can_step_up,
+        config.instrumentation_power + len(connected) * config.per_bank_overhead_power,
+        capacitance,
+        0.5 * capacitance * rated * rated,
+        max_voltage,
+        last_level.leakage.rated_current,
+        last_level.leakage.rated_voltage,
+        brownout,
+        capacitor_energy(capacitance, brownout),
     )
-
-
-def _store(buffer, charge, cells, bank_leaked, totals) -> None:
-    """Write :func:`replay_segment`'s flat state back to ``buffer``."""
-    hardware = buffer.hardware
-    last_level = hardware.last_level
-    last_level._charge = charge
-    for bank, cell, leaked in zip(hardware.banks, cells, bank_leaked):
-        bank.cell_voltage = cell
-        bank.energy_leaked = leaked
-    ll_ledger = last_level.ledger
-    ledger = buffer.ledger
-    controller = buffer.controller
-    (
-        hardware.energy_clipped,
-        hardware.energy_leaked,
-        hardware.transfer_loss,
-        buffer._clip_baseline,
-        buffer._leak_baseline,
-        buffer._transfer_baseline,
-        ll_ledger.absorbed,
-        ll_ledger.delivered,
-        ll_ledger.clipped,
-        ll_ledger.leaked,
-        controller._next_poll_time,
-        controller.poll_count,
-        ledger.offered,
-        ledger.stored,
-        ledger.delivered,
-        ledger.clipped,
-        ledger.leaked,
-        ledger.switching_loss,
-        hardware.monitor.last_signal,
-    ) = totals
 
 
 class ReactBuffer(EnergyBuffer):
@@ -513,8 +612,8 @@ class ReactBuffer(EnergyBuffer):
 
     #: The adapter vouches that its harvest/draw/housekeeping hooks are the
     #: exact arithmetic the lockstep kernel and :func:`replay_segment`
-    #: mirror (see :meth:`~repro.buffers.static.StaticBuffer.batch_key`);
-    #: a subclass that changes them sets this False.
+    #: mirror (see :meth:`follows_recurrence`); a subclass that changes them
+    #: sets this False.
     batch_exact = True
 
     def __init__(
@@ -533,6 +632,8 @@ class ReactBuffer(EnergyBuffer):
         self._leak_baseline = 0.0
         self._transfer_baseline = 0.0
         self._clip_baseline = 0.0
+        #: :func:`_fabric`'s cache of the replay's per-fabric constants.
+        self._fabric_cache = None
 
     @property
     def active_current_hint(self) -> float:
@@ -595,6 +696,22 @@ class ReactBuffer(EnergyBuffer):
 
     # -- multi-system batching ------------------------------------------------------
 
+    def follows_recurrence(self) -> bool:
+        """Whether this buffer's steps are the recurrence the fast paths implement.
+
+        True when the class vouches for its hooks (:attr:`batch_exact`),
+        history recording is off (per-poll history is a stepped-engine
+        feature) and every leakage model is a stock one: voltage-proportional
+        on the last level, voltage-proportional or constant-current on the
+        banks.  Both the lockstep kernel (:meth:`batch_key`) and the scalar
+        whole-segment replay (:func:`replay_segment`) require it.
+        """
+        return (
+            self.batch_exact
+            and not self.controller.record_history
+            and _fabric(self) is not None
+        )
+
     def batch_key(self) -> Optional[Hashable]:
         """Lockstep-compatibility key for the REACT batch kernel.
 
@@ -604,24 +721,10 @@ class ReactBuffer(EnergyBuffer):
         thresholds, poll rate, overhead powers) and the controller's
         expansion rate limit, because the kernel vectorizes per-bank updates
         over a uniform ``(lanes, bank_count)`` array with shared clamp and
-        leakage constants.  Requires the class to vouch for its hooks
-        (:attr:`batch_exact`), the stock leakage models the kernel
-        vectorizes, and history recording to be off (per-step history is a
-        scalar-engine feature).
+        leakage constants.  Requires :meth:`follows_recurrence`.
         """
-        if not self.batch_exact:
+        if not self.follows_recurrence():
             return None
-        if self.controller.record_history:
-            return None
-        hardware = self.hardware
-        if type(hardware.last_level.leakage) is not VoltageProportionalLeakage:
-            return None
-        for bank in hardware.banks:
-            if type(bank.leakage) not in (
-                VoltageProportionalLeakage,
-                ConstantCurrentLeakage,
-            ):
-                return None
         return ("react", self.config, self.controller.expansion_min_interval)
 
     # -- fast forwarding -----------------------------------------------------------
@@ -657,10 +760,11 @@ class ReactBuffer(EnergyBuffer):
     ) -> Tuple[int, float]:
         """Exact off-phase replay through :func:`replay_segment`.
 
-        Buffers whose hooks are not that recurrence (:meth:`batch_key` is
-        None) take the hook-based :meth:`EnergyBuffer.fast_forward`.
+        Buffers whose hooks are not that recurrence
+        (:meth:`follows_recurrence` is False) take the hook-based
+        :meth:`EnergyBuffer.fast_forward`.
         """
-        if self.batch_key() is None:
+        if not self.follows_recurrence():
             return super().fast_forward(
                 delivered_power,
                 quiescent_current,
@@ -700,10 +804,11 @@ class ReactBuffer(EnergyBuffer):
     ) -> Tuple[int, float]:
         """Exact on-phase replay through :func:`replay_segment`.
 
-        Buffers whose hooks are not that recurrence (:meth:`batch_key` is
-        None) take the hook-based :meth:`EnergyBuffer.fast_forward_on`.
+        Buffers whose hooks are not that recurrence
+        (:meth:`follows_recurrence` is False) take the hook-based
+        :meth:`EnergyBuffer.fast_forward_on`.
         """
-        if self.batch_key() is None:
+        if not self.follows_recurrence():
             return super().fast_forward_on(
                 delivered_power,
                 load_current,

@@ -398,7 +398,10 @@ class CachedBackend:
     as ``SweepResult.cache_stats``.  ``progress`` fires in spec order after
     the grid completes (hits and misses finish interleaved, so there is no
     meaningful earlier moment per cell).  Every run ends by dumping the
-    store root's process-cumulative stats to ``store-stats.json``.
+    store root's process-cumulative stats to ``store-stats.json``.  A write
+    that fails (an ``OSError``, such as a full disk) does not stop the
+    others: every computed result is offered to the store, and then the
+    first error is raised in place of the results and the stats dump.
     """
 
     def __init__(self, inner: "ExecutionBackend", store: ResultStore) -> None:
@@ -425,12 +428,20 @@ class CachedBackend:
                 miss_indices.append(index)
             else:
                 results[index] = hit
+        failure: Optional[OSError] = None
         if miss_indices:
             computed = self.inner.run_specs([specs[i] for i in miss_indices])
             for index, result in zip(miss_indices, computed):
-                self.store.store(specs[index], result)
                 results[index] = result
+                try:
+                    self.store.store(specs[index], result)
+                except OSError as error:
+                    # Keep storing: a failed write (a full disk) must not
+                    # discard the rest of the sweep's computed results.
+                    failure = failure or error
         self.last_run_stats = self.store.stats - before
+        if failure is not None:
+            raise failure
         self.store.write_stats()
         ordered: List[SimulationResult] = []
         for result in results:

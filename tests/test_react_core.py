@@ -2,6 +2,7 @@
 
 import copy
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from repro.buffers.react_adapter import ReactBuffer
 from repro.capacitors.leakage import ConstantCurrentLeakage
 from repro.core.bank import BankState, CapacitorBank
 from repro.core.config import BankSpec, ReactConfig, table1_config
+from repro.core.hardware import ReactHardware
 from repro.core.reclamation import (
     reclaimable_energy,
     reclamation_gain_factor,
@@ -24,6 +26,9 @@ from repro.core.sizing import (
     voltage_after_series_switch,
 )
 from repro.exceptions import BankStateError, ConfigurationError
+from repro.experiments import sweep
+from repro.experiments.runner import ExperimentSettings
+from repro.platform.monitor import BufferSignal
 from repro.units import microfarads
 
 
@@ -321,19 +326,50 @@ def react_state(buffer):
     )
 
 
+def poll_handed_off(buffer, time):
+    """``ReactBuffer._poll``, checking that the replay had to hand it off.
+
+    A poll that neither steps the fabric nor reads NEAR_EMPTY only advances
+    the schedule, which the fused replay does inline.
+    """
+    controller = buffer.controller
+    before = (controller.step_up_count, controller.step_down_count)
+    ReactBuffer._poll(buffer, time)
+    stepped = (controller.step_up_count, controller.step_down_count) != before
+    signal = buffer.hardware.monitor.last_signal
+    assert stepped or signal is BufferSignal.NEAR_EMPTY, "a do-nothing poll"
+
+
+def no_usable_energy():
+    raise AssertionError("the fused replay called usable_energy()")
+
+
 def replay_both(buffer, on, *args, **bounds):
     """Run the fused replay on ``buffer`` and the generic hook loop on a copy.
 
     Both must commit the same steps to the same end time and leave every
-    mutable field equal.  Returns the fused run's ``(steps, end_time)``.
+    mutable field equal.  A buffer that follows the recurrence must also
+    keep the replay's hand-off contract: it never computes
+    ``usable_energy()`` and hands a poll back only when the poll steps the
+    fabric or reads NEAR_EMPTY.  Returns the fused run's ``(steps,
+    end_time)``.
     """
     reference = copy.deepcopy(buffer)
-    if on:
-        fused = buffer.fast_forward_on(*args, **bounds)
-        generic = EnergyBuffer.fast_forward_on(reference, *args, **bounds)
-    else:
-        fused = buffer.fast_forward(*args, **bounds)
-        generic = EnergyBuffer.fast_forward(reference, *args, **bounds)
+    watched = buffer.follows_recurrence()
+    if watched:
+        buffer._poll = lambda time: poll_handed_off(buffer, time)
+        buffer.hardware.usable_energy = no_usable_energy
+    try:
+        if on:
+            fused = buffer.fast_forward_on(*args, **bounds)
+            generic = EnergyBuffer.fast_forward_on(reference, *args, **bounds)
+        else:
+            fused = buffer.fast_forward(*args, **bounds)
+            generic = EnergyBuffer.fast_forward(reference, *args, **bounds)
+    finally:
+        if watched:
+            del buffer._poll
+            del buffer.hardware.usable_energy
     assert fused == generic
     assert react_state(buffer) == react_state(reference)
     return fused
@@ -343,16 +379,32 @@ def optional(strategy):
     return st.none() | strategy
 
 
+#: Outputs at and just below the 3.6 V clamp, for the last level and the
+#: banks: the harvest fills one element and goes on in further rounds.
+CLAMPED = (3.6, 3.6 - 1e-9, 3.6 - 1e-6, 3.599)
+
+
 @st.composite
 def replay_cases(draw):
-    """A REACT state, a constant-power segment, and its stop bounds."""
-    banks = draw(
-        st.lists(
-            st.tuples(st.integers(0, 2), st.floats(0.0, 3.6)), min_size=5, max_size=5
-        )
-    )
+    """A REACT state, a constant-power segment, and its stop bounds.
+
+    Besides free states it draws the ones each inline path of the replay
+    needs: banks tied in state and output (the harvest's first-lowest pick),
+    all-parallel fabrics and a recent expansion (NEAR_FULL polls that do
+    not step), a wake request around ``usable_energy() + 2·energy`` (the
+    wake test), and a last level at its clamp (a harvest of several rounds).
+    """
+    bank = st.tuples(st.integers(0, 2), st.floats(0.0, 3.6) | st.sampled_from(CLAMPED))
+    banks = draw(st.lists(bank, min_size=5, max_size=5))
+    fabric = draw(st.sampled_from(("free", "tied", "parallel")))
+    if fabric == "tied":
+        for index in range(1, 5):
+            if draw(st.booleans()):
+                banks[index] = banks[index - 1]
+    elif fabric == "parallel":
+        banks = [(2, output) for _, output in banks]
     buffer = react_buffer(
-        draw(st.floats(0.0, 3.6)),
+        draw(st.floats(0.0, 3.6) | st.sampled_from(CLAMPED)),
         banks,
         next_poll=draw(st.floats(0.0, 0.5)),
         totals=[
@@ -371,13 +423,24 @@ def replay_cases(draw):
         draw(st.floats(0.0, 1.0)),  # start time
         draw(st.integers(0, 300)),
     )
+    # No expansion yet, or one up to 0.6 s before the start (the rate
+    # limit is 0.3 s).
+    buffer.controller._last_expansion_time = draw(
+        st.just(-math.inf) | st.floats(args[3] - 0.6, args[3])
+    )
     voltage = st.floats(0.0, 4.0)
     bounds = dict(
         stop_above=draw(optional(voltage)), stop_below=draw(optional(voltage))
     )
     if on:
         bounds["brownout_floor"] = draw(optional(voltage))
-        bounds["wake_energy"] = draw(optional(st.floats(0.0, 0.2)))
+        wake = draw(st.sampled_from(("none", "free", "near")))
+        if wake == "free":
+            bounds["wake_energy"] = draw(st.floats(0.0, 0.2))
+        elif wake == "near":
+            energy = args[0] * args[2]
+            offset = draw(st.just(0.0) | st.floats(-2.0, 2.0)) * energy
+            bounds["wake_energy"] = buffer.usable_energy() + 2.0 * energy + offset
     else:
         bounds["drain_floor"] = draw(optional(voltage))
     return buffer, on, args, bounds
@@ -455,6 +518,24 @@ class TestFusedReplay:
         assert buffer.controller.step_down_count > 0
         assert steps > 11
 
+    def test_replenished_bank_takes_the_next_harvest(self):
+        """A bank at its clamp is no harvest target until it replenishes."""
+        buffer = react_buffer(0.0, banks=[(0, 0.0)] * 4 + [(1, 3.6)])
+        steps, _ = replay_both(buffer, True, 0.03125, 0.0078125, 0.001, 0.0, 28)
+        assert steps == 28
+        assert buffer.hardware.banks[4].output_voltage < 3.6 - 1e-9
+
+    def test_near_full_polls_that_cannot_step_stay_inline(self):
+        """All-parallel, or inside the expansion rate limit: no hand-off."""
+        for banks, last_expansion in (([(2, 3.55)] * 5, -math.inf), ([], 0.0)):
+            buffer = react_buffer(3.55, banks=banks)
+            buffer.controller._last_expansion_time = last_expansion
+            steps, _ = replay_both(buffer, True, 0.01, 1e-3, 0.01, 0.0, 25)
+            assert steps == 25
+            assert buffer.controller.poll_count == 3
+            assert buffer.hardware.monitor.last_signal is BufferSignal.NEAR_FULL
+            assert buffer.controller.step_up_count == 0
+
     @pytest.mark.parametrize("on", [False, True])
     @pytest.mark.parametrize("variant", ["not_batch_exact", "custom_leakage"])
     def test_other_buffers_take_the_generic_loop(self, monkeypatch, variant, on):
@@ -471,6 +552,73 @@ class TestFusedReplay:
         monkeypatch.setattr(react_adapter, "replay_segment", fused)
         steps, _ = replay_both(buffer, on, 5e-3, 1e-3, 0.01, 0.0, 100)
         assert steps == 100
+
+
+#: perfbench's ``paper_grid_serial`` settings: quick fidelity, 300 s
+#: traces, seed 0.
+PAPER_GRID = ExperimentSettings(quick=True, quick_trace_cap=300.0, seed=0)
+
+#: What the replay does on the grid's four REACT cells (RF Cart, serial).
+#: The parent of this pin ran ``_replay_run`` 7425 times (2796 poll and
+#: 2878 wake-test hand-offs) and called ``usable_energy()`` 2878 times.
+REACT_GRID_REPLAY = {
+    "segments": 1823,
+    "runs": 1947,
+    "poll hand-offs": 124,
+    "usable_energy calls": 0,
+}
+
+
+class TestReplayHandOffs:
+    """A replay leaves its flat-float loop only for polls it cannot do inline."""
+
+    def test_paper_grid_react_cells(self, monkeypatch):
+        counts = Counter()
+        inside = []
+        real_segment = react_adapter.replay_segment
+        real_run = react_adapter._replay_run
+        real_usable = ReactHardware.usable_energy
+
+        def segment(buffer, *args):
+            counts["segments"] += 1
+            inside.append(buffer)
+            try:
+                return real_segment(buffer, *args)
+            finally:
+                inside.pop()
+
+        def run(*args):
+            counts["runs"] += 1
+            return real_run(*args)
+
+        def poll(buffer, time):
+            if inside:
+                counts["poll hand-offs"] += 1
+                poll_handed_off(buffer, time)
+            else:
+                ReactBuffer._poll(buffer, time)
+
+        def usable_energy(hardware):
+            if inside:
+                counts["usable_energy calls"] += 1
+            return real_usable(hardware)
+
+        class Watched(ReactBuffer):
+            """The paper grid's REACT buffer, counting its poll hand-offs."""
+
+            _poll = poll
+
+        monkeypatch.setattr(react_adapter, "replay_segment", segment)
+        monkeypatch.setattr(react_adapter, "_replay_run", run)
+        monkeypatch.setattr(ReactHardware, "usable_energy", usable_energy)
+        results = sweep(
+            workloads=("DE", "SC", "RT", "PF"),
+            trace_names=("RF Cart",),
+            settings=PAPER_GRID,
+            buffer_factory=lambda: [Watched()],
+        ).results
+        assert [result.buffer_name for result in results] == ["REACT"] * 4
+        assert {key: counts[key] for key in REACT_GRID_REPLAY} == REACT_GRID_REPLAY
 
 
 class HookDriven(ReactBuffer):
