@@ -2,18 +2,18 @@
 
 Run from the repository root::
 
-    PYTHONPATH=src python benchmarks/replay_cost.py [--repeats 7] [--calls 200]
+    PYTHONPATH=src python benchmarks/replay_cost.py
 
 Each row times one buffer's on-phase fast path (``fast_forward_on``, the
 call the engine makes) from one fixed mid-run state: the static buffer's
 ``replay_lane``, Morphy's ``replay_segment``, and REACT's
 ``replay_segment`` with 0, 3 and 5 banks connected in parallel.  A repeat
-times ``--calls`` fresh copies of the state one call at a time, for a
+times ``CALLS`` fresh copies of the state one call at a time, for a
 zero-step segment and for a long one.  The median zero-step call is the
 fixed cost per call; the difference of the two medians, per step, is the
 cost per step.  The state is copied after one zero-step call, so the copies
 share any per-buffer cache that call fills, as a long-lived buffer's calls
-do.  Each column is the median over ``--repeats`` repeats, with
+do.  Each column is the median over ``REPEATS`` repeats, with
 the spread (max - min) beside it.  Every segment must commit all of its
 steps, so no stop bound, drain test or stepping poll cuts a call short.
 
@@ -25,7 +25,6 @@ in an on-phase of the paper grid.
 
 from __future__ import annotations
 
-import argparse
 import copy
 import gc
 import statistics
@@ -39,6 +38,9 @@ from repro.units import millifarads
 #: Segment lengths, in steps, of the short and the long calls.
 SHORT = 0
 LONG = 200
+#: Repeats per row, and fresh copies of the state timed in each repeat.
+REPEATS = 7
+CALLS = 200
 DT = 0.01
 LOAD = 1e-3  # A
 POWER = 2.9e-3  # W: about the load at the output voltage
@@ -78,13 +80,13 @@ CASES = (
 )
 
 
-def seconds_per_call(prototype, steps, calls):
+def seconds_per_call(prototype, steps):
     """Median wall-clock of one ``steps``-step ``fast_forward_on`` call.
 
     Each call is timed on its own, so a preempted call moves the median by
     one sample instead of the mean by its whole delay.
     """
-    buffers = [copy.deepcopy(prototype) for _ in range(calls)]
+    buffers = [copy.deepcopy(prototype) for _ in range(CALLS)]
     samples = []
     clock = time.perf_counter
     gc.collect()
@@ -103,12 +105,12 @@ def seconds_per_call(prototype, steps, calls):
     return statistics.median(samples)
 
 
-def measure(prototype, repeats, calls):
+def measure(prototype):
     """Median and spread of (fixed µs per call, µs per step)."""
     fixed, per_step = [], []
-    for _ in range(repeats):
-        short = seconds_per_call(prototype, SHORT, calls)
-        long = seconds_per_call(prototype, LONG, calls)
+    for _ in range(REPEATS):
+        short = seconds_per_call(prototype, SHORT)
+        long = seconds_per_call(prototype, LONG)
         fixed.append(short * 1e6)
         per_step.append((long - short) / LONG * 1e6)
     return [
@@ -117,19 +119,15 @@ def measure(prototype, repeats, calls):
     ]
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--calls", type=int, default=200)
-    args = parser.parse_args(argv)
-    print(f"median (spread) over {args.repeats} repeats, {args.calls} calls each")
+def main():
+    print(f"median (spread) over {REPEATS} repeats, {CALLS} calls each")
     print(f"{'replay':20}{'fixed µs/call':>20}{'µs/step':>20}")
     for name, factory in CASES:
         prototype = factory()
         prototype.fast_forward_on(POWER, LOAD, DT, 0.0, 0)
         cells = [
             f"{median:.2f} ({spread:.2f})"
-            for median, spread in measure(prototype, args.repeats, args.calls)
+            for median, spread in measure(prototype)
         ]
         print(f"{name:20}" + "".join(f"{cell:>20}" for cell in cells), flush=True)
 

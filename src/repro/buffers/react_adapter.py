@@ -137,9 +137,9 @@ def _replay_run(
     flat state.
 
     One pass over the banks per step, the leakage loop, also yields the
-    largest connected output and its bank (:func:`_replenish` runs only when
-    that output exceeds the last level by more than the diode's 1e-9 V, and
-    starts from that bank) and the harvest's lowest eligible bank.
+    largest connected output (:func:`_replenish` runs only when it exceeds
+    the last level by more than the diode's 1e-9 V) and the harvest's
+    lowest eligible bank.
     :func:`_scan` redoes them only when a bank absorbs harvest and the
     harvest goes on, or when the powered replenishment moves charge.
 
@@ -206,7 +206,7 @@ def _replay_run(
     leaked = ledger.leaked
     switching = ledger.switching_loss
     signal = monitor.last_signal
-    lowest, lowest_output, source, highest = _scan(cells, connected)
+    lowest, lowest_output, highest = _scan(cells, connected)
     handoff = None
     while steps < max_steps:
         voltage = charge / capacitance
@@ -238,7 +238,7 @@ def _replay_run(
             if remaining <= 0.0:
                 break
             if absorbed_by_bank:
-                lowest, lowest_output, source, highest = _scan(cells, connected)
+                lowest, lowest_output, highest = _scan(cells, connected)
                 absorbed_by_bank = False
             voltage = charge / capacitance
             if lowest is not None and (
@@ -256,16 +256,11 @@ def _replay_run(
                 cell = sqrt(2.0 * (present + gained) / count_unit)
                 cells[index] = cell
                 # Only this bank moved, so the next round rescans for the
-                # lowest, and the largest output is this one if it is
-                # larger.  Otherwise ``highest`` stays an upper bound (all
-                # the replenishment test needs) and, if this bank may have
-                # been or tied the first largest, _replenish rescans.
+                # lowest, and ``highest`` stays an upper bound on the
+                # largest output, all the replenishment test needs.
                 output = cell * multiplier
                 if output > highest:
                     highest = output
-                    source = lowest
-                elif source is lowest or output == highest:
-                    source = None
                 absorbed_by_bank = True
             elif voltage < ll_threshold:
                 present = 0.5 * capacitance * voltage * voltage
@@ -311,7 +306,6 @@ def _replay_run(
                 charge,
                 cells,
                 connected,
-                source,
                 capacitance,
                 max_voltage,
                 hw_clipped,
@@ -328,7 +322,7 @@ def _replay_run(
         voltage = charge / capacitance
         step_leaked = before - 0.5 * capacitance * voltage * voltage
         ll_leaked += step_leaked
-        lowest = source = None
+        lowest = None
         lowest_output = _INF
         highest = -_INF
         for index, count, unit, half_unit, rate, rated_voltage, bank in leaks:
@@ -351,7 +345,6 @@ def _replay_run(
                 output = cell * bank[1]
                 if output > highest:
                     highest = output
-                    source = bank
                 if output < bank[3] and output < lowest_output:
                     lowest = bank
                     lowest_output = output
@@ -378,13 +371,12 @@ def _replay_run(
                     charge,
                     cells,
                     connected,
-                    source,
                     capacitance,
                     max_voltage,
                     hw_clipped,
                     hw_transfer,
                 )
-                lowest, lowest_output, source, highest = _scan(cells, connected)
+                lowest, lowest_output, highest = _scan(cells, connected)
         leaked += hw_leaked - leak_base
         leak_base = hw_leaked
         switching += hw_transfer - transfer_base
@@ -424,48 +416,40 @@ def _replay_run(
 
 
 def _scan(cells, connected):
-    """The harvest's lowest eligible bank and the replenishment source.
+    """The harvest's lowest eligible bank and the largest connected output.
 
-    Returns ``(lowest, its output, source, its output)``:
+    Returns ``(lowest, its output, largest output)``:
     :meth:`ReactHardware._lowest_voltage_element`'s bank scan (first strict
-    minimum below the clamp, in bank order) and
-    :meth:`ReactHardware.replenish`'s (first maximum); None and ``+inf``
-    with no eligible bank, None and ``-inf`` with no connected bank.
+    minimum below the clamp, in bank order; None and ``+inf`` with no
+    eligible bank) and the largest output (``-inf`` with no connected bank).
     """
-    lowest = source = None
+    lowest = None
     lowest_output = _INF
     highest = -_INF
     for bank in connected:
         output = cells[bank[0]] * bank[1]
         if output > highest:
             highest = output
-            source = bank
         if output < bank[3] and output < lowest_output:
             lowest = bank
             lowest_output = output
-    return lowest, lowest_output, source, highest
+    return lowest, lowest_output, highest
 
 
-def _replenish(
-    charge, cells, connected, source, capacitance, max_voltage, clipped, transfer
-):
+def _replenish(charge, cells, connected, capacitance, max_voltage, clipped, transfer):
     """:meth:`ReactHardware.replenish` on flat state, expression for expression.
 
-    ``source`` is the first round's source bank (the first largest output)
-    when the caller knows it, else None.  Returns ``(charge, clipped,
-    transfer)``; bank cells update in place.
+    Returns ``(charge, clipped, transfer)``; bank cells update in place.
     """
     rounds = len(cells)
     for _ in range(rounds):
-        if source is None:
-            source_voltage = 0.0
-            for bank in connected:
-                voltage = cells[bank[0]] * bank[1]
-                if source is None or voltage > source_voltage:
-                    source = bank
-                    source_voltage = voltage
-        else:
-            source_voltage = cells[source[0]] * source[1]
+        source = None
+        source_voltage = 0.0
+        for bank in connected:
+            voltage = cells[bank[0]] * bank[1]
+            if source is None or voltage > source_voltage:
+                source = bank
+                source_voltage = voltage
         sink_voltage = charge / capacitance
         if source_voltage <= sink_voltage + 1e-9:
             break
@@ -499,16 +483,17 @@ def _replenish(
         cells[source[0]] = final_voltage / source[1]
         charge = capacitance * final_voltage
         transfer += dissipated
-        source = None
     return charge, clipped, transfer
 
 
 def _fabric(buffer: "ReactBuffer") -> Optional[tuple]:
     """The replay's per-fabric constants, or None if a leakage model is unknown.
 
-    Cached on the buffer and rebuilt only after a topology change
-    (:attr:`ReactHardware.topology_version`) or when a leakage model
-    object changes, so a short segment pays one list comparison for them.
+    Cached on the buffer and rebuilt only after a topology change (a new
+    :attr:`ReactHardware.connected_banks` list: every change drops the
+    hardware's cached one, and the cache here keeps the old list alive, so
+    identity cannot be reused) or when a leakage model object changes, so a
+    short segment pays one list comparison for them.
     The replay knows a voltage-proportional last level and
     voltage-proportional or constant-current banks, as the lockstep
     kernel does.
@@ -528,12 +513,12 @@ def _fabric(buffer: "ReactBuffer") -> Optional[tuple]:
     hardware = buffer.hardware
     models = [bank.leakage for bank in hardware.banks]
     models.append(hardware.last_level.leakage)
-    version = hardware.topology_version
+    banks = hardware.connected_banks
     cached = buffer._fabric_cache
-    if cached is not None and cached[0] == version and cached[1] == models:
+    if cached is not None and cached[0] is banks and cached[1] == models:
         return cached[2]
     fabric = _build_fabric(buffer)
-    buffer._fabric_cache = (version, models, fabric)
+    buffer._fabric_cache = (banks, models, fabric)
     return fabric
 
 
@@ -610,10 +595,13 @@ class ReactBuffer(EnergyBuffer):
 
     supports_longevity = True
 
-    #: The adapter vouches that its harvest/draw/housekeeping hooks are the
-    #: exact arithmetic the lockstep kernel and :func:`replay_segment`
-    #: mirror (see :meth:`follows_recurrence`); a subclass that changes them
-    #: sets this False.
+    #: The adapter vouches that its harvest/draw/housekeeping hooks, its
+    #: :meth:`usable_energy` (the replay's inline wake test) and the
+    #: controller's stepping rule (the replay decides inline that a NEAR_FULL
+    #: poll cannot step: no bank can step up, or the expansion rate limit)
+    #: are the exact arithmetic the lockstep kernel and
+    #: :func:`replay_segment` mirror (see :meth:`follows_recurrence`); a
+    #: subclass that changes any of them sets this False.
     batch_exact = True
 
     def __init__(
@@ -699,8 +687,10 @@ class ReactBuffer(EnergyBuffer):
     def follows_recurrence(self) -> bool:
         """Whether this buffer's steps are the recurrence the fast paths implement.
 
-        True when the class vouches for its hooks (:attr:`batch_exact`),
-        history recording is off (per-poll history is a stepped-engine
+        True when the class vouches for its hooks, :meth:`usable_energy` and
+        the controller's stepping rule (:attr:`batch_exact`; an override of
+        any of them that keeps it True drifts from the hook loop without an
+        error), history recording is off (per-poll history is a stepped-engine
         feature) and every leakage model is a stock one: voltage-proportional
         on the last level, voltage-proportional or constant-current on the
         banks.  Both the lockstep kernel (:meth:`batch_key`) and the scalar

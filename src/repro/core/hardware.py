@@ -74,9 +74,6 @@ class ReactHardware:
         self.energy_leaked = 0.0
         self.transfer_loss = 0.0
         self._connected_cache: Optional[List[CapacitorBank]] = None
-        #: Bumped on every bank-state change, so caches derived from the
-        #: topology (the adapter's replay constants) know to rebuild.
-        self.topology_version = 0
         for bank in self.banks:
             bank.on_topology_change = self._invalidate_topology
         # Per-bank post-reclamation stranded energy is a pure function of the
@@ -93,7 +90,6 @@ class ReactHardware:
 
     def _invalidate_topology(self) -> None:
         self._connected_cache = None
-        self.topology_version += 1
 
     # -- telemetry -------------------------------------------------------------------
 
