@@ -199,12 +199,13 @@ def count_buffer_fast_forwards(monkeypatch) -> Counter:
 #: (see :func:`count_buffer_fast_forwards`).  Each count moves if the
 #: engine stops replaying whole segments (``fast_forward=False``) or the
 #: workloads stop promising quiescence (no hints: fewer, shorter on-phase
-#: replays).
+#: replays).  Segments run up to the step that straddles a trace-sample
+#: edge, and RT's and PF's in-flight radio bursts replay too.
 MIXED_GRID_FAST_FORWARDS = {
-    "off_calls": 2430,
-    "off_steps": 11_062,
-    "on_calls": 5796,
-    "on_steps": 320_396,
+    "off_calls": 2571,
+    "off_steps": 12_222,
+    "on_calls": 9836,
+    "on_steps": 339_837,
 }
 
 

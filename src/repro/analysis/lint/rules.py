@@ -32,7 +32,7 @@ already been burned by:
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.lint.core import Finding, Project, Rule, SourceFile
 
@@ -154,8 +154,7 @@ _TIME_EXCLUDE_PREFIXES = ("wall", "elapsed", "perf", "record")
 _DT_NAMES = ("dt", "dt_on", "dt_off", "step_dt", "masked_dt")
 
 
-def _is_time_target(node: ast.AST) -> bool:
-    name = _terminal_name(node)
+def _is_time_name(name: Optional[str]) -> bool:
     if name is None:
         return False
     lowered = name.lstrip("_").lower()
@@ -180,22 +179,23 @@ class AdditiveTimeRule(Rule):
         "simulated time advances 'time += dt' per committed step "
         "(SegmentPlan invariant 5), never reconstructed as start + k * dt"
     )
-    scope = ("repro/sim/*.py", "repro/buffers/*.py")
+    # Workloads build quiescence-hint expiries step by step.
+    scope = ("repro/sim/*.py", "repro/buffers/*.py", "repro/workloads/*.py")
 
     def check(self, source: SourceFile) -> List[Finding]:
         findings = []
         for node in ast.walk(source.tree):
             if isinstance(node, ast.Assign):
-                targets: Sequence[ast.AST] = node.targets
-                value = node.value
+                names = [_terminal_name(target) for target in node.targets]
             elif isinstance(node, ast.AugAssign):
-                targets = (node.target,)
-                value = node.value
+                names = [_terminal_name(node.target)]
+            elif isinstance(node, ast.keyword):
+                names = [node.arg]  # e.g. a hint's no_demand_change_before_time=
             else:
                 continue
-            if not any(_is_time_target(target) for target in targets):
+            if not any(_is_time_name(name) for name in names):
                 continue
-            if _has_dt_product(value):
+            if _has_dt_product(node.value):
                 findings.append(
                     self.finding(
                         source,

@@ -48,6 +48,7 @@ A lane group only forms when it reaches its kernel's
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -342,6 +343,33 @@ class SerialBackend:
         return results
 
 
+def pool_jobs(specs: Sequence[RunSpec]) -> List[RunSpec]:
+    """``specs`` as pool jobs ship them: execution-only settings at defaults.
+
+    How a sweep executes (backend, pool width, result store) is settled in
+    the parent; a worker only computes.  Resetting those fields keeps each
+    job's payload independent of where the store, and so the checkout,
+    lives.  Fingerprints and :attr:`RunSpec.group_key` exclude the same
+    fields, so no result or lane grouping changes.
+    """
+    from repro.experiments.store import EXECUTION_ONLY_FIELDS
+
+    stripped: Dict[int, ExperimentSettings] = {}
+    jobs = []
+    for spec in specs:
+        settings = stripped.get(id(spec.settings))
+        if settings is None:
+            defaults = {
+                field.name: field.default
+                for field in dataclasses.fields(spec.settings)
+                if field.name in EXECUTION_ONLY_FIELDS
+            }
+            settings = dataclasses.replace(spec.settings, **defaults)
+            stripped[id(spec.settings)] = settings
+        jobs.append(dataclasses.replace(spec, settings=settings))
+    return jobs
+
+
 @dataclass
 class ProcessPoolBackend:
     """Fans independent specs over a process pool.
@@ -370,7 +398,7 @@ class ProcessPoolBackend:
             return SerialBackend().run_specs(specs, progress)
         results: List[SimulationResult] = []
         with ProcessPoolExecutor(max_workers=min(self.workers, len(specs))) as pool:
-            futures = [pool.submit(execute_run_spec, spec) for spec in specs]
+            futures = [pool.submit(execute_run_spec, job) for job in pool_jobs(specs)]
             for future in futures:
                 result = future.result()
                 results.append(result)
@@ -495,9 +523,10 @@ class PoolBatchBackend:
             return BatchBackend().run_specs(specs, progress)
         shards = plan_shards(specs, self.workers)
         computed: List[Optional[SimulationResult]] = [None] * len(specs)
+        jobs = pool_jobs(specs)
         with ProcessPoolExecutor(max_workers=min(self.workers, len(shards))) as pool:
             futures = [
-                (shard, pool.submit(execute_spec_shard, [specs[i] for i in shard]))
+                (shard, pool.submit(execute_spec_shard, [jobs[i] for i in shard]))
                 for shard in shards
             ]
             for shard, future in futures:

@@ -63,11 +63,15 @@ class HarvestingFrontend:
     def segment_end(self, time: float) -> float:
         """End of the constant-raw-power segment containing ``time``.
 
-        Delegates to the trace's zero-order-hold sample grid; the
-        simulator's off-phase fast path advances at most to this boundary
-        so that raw power stays constant over the fast-forwarded interval.
+        Delegates to the trace's zero-order-hold sample grid; the segment
+        planner sizes a fast-forwarded interval against this boundary so
+        that every step in it starts in one sample and reads one raw power.
         """
         return self.trace.segment_end(time)
+
+    def sample_index(self, time: float) -> int:
+        """Index of the trace sample whose power :meth:`step` reads at ``time``."""
+        return self.trace.sample_index(time)
 
     def credit(self, raw_energy: float, delivered_energy: float) -> None:
         """Account a fast-forwarded interval in the energy ledger.

@@ -139,11 +139,22 @@ class PowerTrace:
         """
         if time < 0.0:
             raise TraceError(f"time must be non-negative, got {time}")
-        index = int(time / self.sample_period)
+        index = self.sample_index(time)
         powers = self._powers_list
         if index >= len(powers):
             return 0.0
         return powers[index]
+
+    def sample_index(self, time: float) -> int:
+        """Index of the zero-order-hold sample that holds at ``time``.
+
+        The one expression every scalar lookup shares: :meth:`power_at`
+        reads this sample, :meth:`segment_end` ends it, and the segment
+        planner tests step start times with it, so a fast-forwarded step
+        reads exactly the sample the stepped engine would.  Indices at or
+        past ``len(trace)`` lie beyond the end of the trace.
+        """
+        return int(time / self.sample_period)
 
     def powers_at(self, times: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`power_at`: zero-order-hold lookup per lane.
@@ -179,12 +190,13 @@ class PowerTrace:
 
         Within the trace this is the next sample boundary (the power is
         constant until then); past the end of the trace the power is zero
-        forever, so the segment extends to infinity.  Used by the
-        simulator's off-phase fast path to bound constant-power intervals.
+        forever, so the segment extends to infinity.  The segment planner
+        uses it to skip the sample test for steps that start well before
+        the boundary.
         """
         if time < 0.0:
             raise TraceError(f"time must be non-negative, got {time}")
-        index = int(time / self.sample_period)
+        index = self.sample_index(time)
         if index >= self._powers.size:
             return float("inf")
         return (index + 1) * self.sample_period

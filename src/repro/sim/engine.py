@@ -54,15 +54,16 @@ On-phase fast path (workload quiescence)
 ----------------------------------------
 
 Most *on* steps are quiescent too: the workload is parked in (deep) sleep
-waiting for a timer, an event, or a longevity reserve, and its power
-demand — hence the whole platform load — is constant.  Workloads declare
+waiting for a timer, an event, or a longevity reserve, or is in the middle
+of an atomic radio burst, and its power demand — hence the whole platform
+load — is constant.  Workloads declare
 such stretches through the quiescence protocol
 (:meth:`~repro.workloads.base.Workload.quiescent_until` returning a
 :class:`~repro.workloads.base.QuiescenceHint`), and the engine
 fast-forwards them through
 :meth:`~repro.buffers.base.EnergyBuffer.fast_forward_on`: whole
 constant-demand segments bounded by the hint's expiry (the next deadline,
-packet, or sensor reading), its wake voltage (or a conservative
+packet, or sensor reading, or the step that completes a burst), its wake voltage (or a conservative
 usable-energy guard for a pending longevity request), trace sample
 boundaries, regulator efficiency breakpoints, the gate's brown-out floor,
 and pending recorder sample points.  Per-mode MCU time is accumulated with

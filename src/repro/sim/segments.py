@@ -3,16 +3,17 @@
 Both fast-forwarding engines — the scalar :class:`~repro.sim.engine.Simulator`
 and the lockstep :class:`~repro.sim.batch.BatchSimulator` — advance whole
 constant-power stretches of a simulation in one go.  What makes a stretch
-skippable is the same in both: the trace sample is constant (zero-order
-hold), the regulator sits inside one efficiency region, no recorder sample
+skippable is the same in both: every step starts in one trace sample
+(zero-order hold, and the stepped engine reads the sample at each step's
+start), the regulator sits inside one efficiency region, no recorder sample
 point or quiescence-hint expiry falls inside it, and no gate transition
 (enable, brown-out, wake) can occur before its end.  This module owns that
 boundary arithmetic, in two presentations of one contract:
 
 * :class:`SegmentPlanner` produces a scalar :class:`SegmentPlan` per
-  fast-forward attempt for the scalar engine.  Every expression is the
-  arithmetic the engine historically evaluated inline, so extracting it
-  changes no result bit.
+  fast-forward attempt for the scalar engine.  Its trace-edge term counts
+  the steps whose additively accumulated start still maps to the starting
+  sample, so a segment includes the step that straddles the edge.
 * :class:`LaneSegmentPlanner` produces a :class:`LaneSegmentPlan` of
   per-lane arrays for the batch engine, one entry per lane, with ``±inf``
   sentinels standing in for the scalar plan's ``None`` bounds (comparisons
@@ -106,22 +107,49 @@ class SegmentPlanner:
         self._hard_stop = hard_stop
         self._breakpoints = breakpoints
 
+    def _sample_steps(self, time, dt, cap):
+        """How many of the next ``cap`` steps start in ``time``'s trace sample.
+
+        Start times accumulate additively from ``time``, as the engines
+        advance them, and each is tested with the trace's own sample index,
+        so the step that straddles the sample edge is included (the stepped
+        engine reads this sample's power for it too) and a start that
+        rounds onto the next sample is not.  The first
+        ``int((edge - time) / dt) - 1`` starts lie at least two steps
+        before the edge and need no test: their rounding error is many
+        orders of magnitude below ``dt``.  Past the trace the sample never
+        ends.
+        """
+        edge = self._frontend.segment_end(time)
+        steps = max(int((edge - time) / dt) - 1, 0) if edge != _INFINITY else cap
+        if steps >= cap:
+            return cap
+        sample_index = self._frontend.sample_index
+        index = sample_index(time)
+        start = time
+        for _ in range(steps):
+            start += dt
+        while steps < cap and sample_index(start) == index:
+            start += dt
+            steps += 1
+        return steps
+
     def plan_off(self, time, dt, voltage, enable_voltage, step_budget):
         """Plan an off-phase segment starting at ``time``.
 
-        The segment is bounded by the current trace sample (zero-order
-        hold), the drain hard stop, and any pending recorder sample point;
+        The segment is bounded by the steps that start in the current trace
+        sample (see :meth:`_sample_steps`), the steps that end by the drain
+        hard stop, and any pending recorder sample point;
         the stops are the gate's enable voltage (the gate must engage on a
         normally-executed step) and the regulator efficiency breakpoints
         around ``voltage``.
         """
-        limit = min(self._frontend.segment_end(time), self._hard_stop)
-        max_steps = int((limit - time) / dt)
+        max_steps = int((self._hard_stop - time) / dt)
         if self._recorder is not None:
             max_steps = min(
                 max_steps, int((self._recorder.next_record_time - time) / dt) - 1
             )
-        max_steps = min(max_steps, step_budget)
+        max_steps = self._sample_steps(time, dt, min(max_steps, step_budget))
         stop_above, stop_below = efficiency_stops(
             voltage, self._breakpoints, enable_voltage
         )
@@ -132,16 +160,16 @@ class SegmentPlanner:
         """Plan a quiescent on-phase segment starting at ``time``.
 
         Bounded like :meth:`plan_off` plus the hint's expiry with one full
-        step of conservative margin: the additively accumulated end time
-        can overshoot a computed bound by rounding ulps, and an event at
-        the expiry must be observed by a normal step — so the margin
-        applies even when the expiry sits at or just past the trace-segment
-        boundary.  The upper stop is the hint's wake voltage (or, for a
+        step of conservative margin: workloads build an expiry such as
+        ``ctx.time + ctx.dt``, which can differ from the engine's
+        additively accumulated end time by an ulp, and an event at the
+        expiry must be observed by a normal step — so the margin applies
+        even when the expiry sits at or just past the trace-sample edge.
+        The upper stop is the hint's wake voltage (or, for a
         pending longevity request with no expressible wake voltage, a
         usable-energy guard carried in ``wake_energy``).
         """
-        limit = min(self._frontend.segment_end(time), self._hard_stop)
-        max_steps = int((limit - time) / dt)
+        max_steps = int((self._hard_stop - time) / dt)
         expiry = hint.no_demand_change_before_time
         if expiry != _INFINITY:
             max_steps = min(max_steps, int((expiry - time) / dt) - 1)
@@ -149,7 +177,7 @@ class SegmentPlanner:
             max_steps = min(
                 max_steps, int((self._recorder.next_record_time - time) / dt) - 1
             )
-        max_steps = min(max_steps, step_budget)
+        max_steps = self._sample_steps(time, dt, min(max_steps, step_budget))
         stop_above, stop_below = efficiency_stops(
             voltage, self._breakpoints, hint.wake_on_voltage
         )
@@ -182,9 +210,14 @@ class LaneSegmentPlanner:
     per lane at that lane's own timestamp; lanes that happen to share a
     trace segment and efficiency region then advance together through one
     kernel ``fast_forward`` call.  The arithmetic mirrors the scalar
-    planner expression for expression (``int()`` truncation becomes
-    ``floor`` — identical for the non-negative quantities involved — and
-    the ``None`` stops become ``±inf``).
+    planner (``int()`` truncation becomes ``floor`` — identical for the
+    non-negative quantities involved — and the ``None`` stops become
+    ``±inf``) except at the trace edge: this planner still counts the
+    steps that *end* by the edge, one step short of the scalar planner's
+    count of steps that *start* in the sample.  Invariant 1 allows the
+    more conservative budget, and testing additive start times per lane
+    would cost a loop per lane, while the lockstep step that follows takes
+    the straddling step for every lane at once.
     """
 
     def __init__(self, sample_period, trace_samples, trace_duration, hard_stop,

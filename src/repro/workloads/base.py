@@ -21,11 +21,15 @@ returned.  The simulator exploits that through a cooperative protocol:
   cannot change before a given simulated time (and, optionally, before the
   buffer output reaches a wake voltage).  Returning ``None`` makes no
   promise and the simulator steps normally.
+* Quiescent need not mean asleep: an in-flight atomic operation (RT's and
+  PF's package, receive and transmit phases) holds a fixed demand until
+  its countdown completes, so it promises that demand until the end of
+  the completing step, found with :func:`phase_end`.
 * :meth:`Workload.skip_quiescent` is called once per skipped segment so
-  the workload can advance its internal clocks and event cursors exactly
-  as the per-step calls would have — the engine guarantees the segment
-  lies strictly inside the hint (no event fires in it, the wake voltage is
-  not reached, the platform stays on).
+  the workload can advance its internal clocks, countdowns and event
+  cursors exactly as the per-step calls would have — the engine
+  guarantees the segment lies strictly inside the hint (no event fires in
+  it, the wake voltage is not reached, the platform stays on).
 
 Both sides of the contract are exercised by the differential equivalence
 tests: a fast-forwarded run must reproduce the step-by-step engine's
@@ -127,6 +131,22 @@ class QuiescenceHint(NamedTuple):
     #: most recent step", valid only for workloads whose on-phase demand
     #: never varies.
     demand: Optional[PowerDemand] = None
+
+
+def phase_end(time: float, dt: float, remaining: float) -> float:
+    """End time of the step that completes a ``remaining``-second phase.
+
+    Repeats the phase's own per-step countdown (``remaining -= dt`` until
+    it reaches zero) while advancing ``time`` additively, as the engine
+    does, so the result is bit-identical to the end time of the stepped
+    step that completes the phase: the expiry of an in-flight phase's
+    :class:`QuiescenceHint`.
+    """
+    while True:
+        remaining -= dt
+        time += dt
+        if remaining <= 0.0:
+            return time
 
 
 #: Interned demands for the parameterless cases, which cover the vast

@@ -25,6 +25,7 @@ from repro.workloads.base import (
     StepContext,
     Workload,
     WorkloadMetrics,
+    phase_end,
 )
 from repro.workloads.kernels.crc import crc16_ccitt
 
@@ -96,20 +97,33 @@ class PacketForwarding(Workload):
         return self._maybe_start_forwarding(ctx)
 
     def quiescent_until(self, ctx: StepContext) -> Optional[QuiescenceHint]:
-        """Quiescent while listening or waiting for the transmit reserve.
+        """Quiescent while listening, waiting for the transmit reserve, or in flight.
 
         Both idle states (empty queue, and a queued packet waiting on the
         longevity reserve) hold a constant deep-sleep-plus-listen demand
         that only an incoming packet — or, for the waiting state, the
         reserve filling — can change, so the promise runs to the arrival
-        schedule's next fire time.  An in-flight receive/transmit phase
-        makes no promise (its countdown steps normally), and neither does
-        the one step that places a new longevity request, since that step
-        mutates buffer state.
+        schedule's next fire time.  An in-flight receive or transmit phase
+        holds its radio demand until the step that completes its countdown
+        (whose end time is the expiry), and no later than the next
+        arrival, which that phase would count as missed.  The one step
+        that places a new longevity request makes no promise, since that
+        step mutates buffer state.
         """
-        if self._phase is not None:
-            return None
         next_arrival = self._arrivals.next_fire_time
+        if self._phase is not None:
+            if self._phase_remaining - ctx.dt <= 0.0:
+                return None  # the next step completes the phase
+            if self._phase == "receive":
+                current = self.radio.receive_current
+            else:
+                current = self.radio.transmit_current
+            end = phase_end(ctx.time, ctx.dt, self._phase_remaining)
+            return QuiescenceHint(
+                no_demand_change_before_time=min(end, next_arrival),
+                wake_on_event=next_arrival < end,
+                demand=PowerDemand.active(peripheral_current=current),
+            )
         listening = PowerDemand.deep_sleeping(peripheral_current=self.listen_current)
         if not self._queue:
             return QuiescenceHint(
@@ -131,10 +145,14 @@ class PacketForwarding(Workload):
         # guarantee) window; the longevity re-check that ``step`` would
         # also perform is read-only and deliberately not replayed, so a
         # reserve filling on the window's final housekeeping cannot start
-        # a forward one step earlier than stepped execution would.
+        # a forward one step earlier than stepped execution would.  An
+        # in-flight phase replays its countdown, one subtraction per step.
         end = ctx.time + ctx.dt
         self._arrivals.events_between(self._last_time, end)
         self._last_time = end
+        if self._phase is not None:
+            for _ in range(steps):
+                self._phase_remaining -= step_dt
 
     def on_power_loss(self, time: float) -> None:
         if self._phase == "receive":

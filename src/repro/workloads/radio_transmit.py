@@ -23,6 +23,7 @@ from repro.workloads.base import (
     StepContext,
     Workload,
     WorkloadMetrics,
+    phase_end,
 )
 from repro.workloads.kernels.crc import crc16_ccitt
 
@@ -103,19 +104,33 @@ class RadioTransmit(Workload):
         return PowerDemand.active(peripheral_current=self.radio.transmit_current)
 
     def quiescent_until(self, ctx: StepContext) -> Optional[QuiescenceHint]:
-        """Quiescent while waiting for data or for a longevity reserve.
+        """Quiescent while waiting for data, for a longevity reserve, or in flight.
 
         Two deep-sleep stretches dominate RT's on-time: an empty backlog
         (demand fixed until the next sensor reading lands on the
         ``data_period`` grid) and a pending longevity request (demand
         fixed until the buffer's reserve condition is met — a wake voltage
         when the buffer can express one, otherwise the engine guards on
-        the pending request's usable energy).  Any in-flight
-        package/transmit phase makes no promise: its per-step countdown
-        must run on the stepped path.
+        the pending request's usable energy).  An in-flight package or
+        transmit phase holds its demand until the step that completes its
+        countdown, which must execute normally; its end time is the
+        expiry.
         """
         if self._phase is not None:
-            return None
+            if self._phase_remaining - ctx.dt <= 0.0:
+                return None  # the next step completes the phase
+            if self._phase == "package":
+                demand = PowerDemand.active()
+            else:
+                demand = PowerDemand.active(
+                    peripheral_current=self.radio.transmit_current
+                )
+            return QuiescenceHint(
+                no_demand_change_before_time=phase_end(
+                    ctx.time, ctx.dt, self._phase_remaining
+                ),
+                demand=demand,
+            )
         if self._backlog <= 0:
             return QuiescenceHint(
                 no_demand_change_before_time=self._last_time + self.data_period,
@@ -134,8 +149,12 @@ class RadioTransmit(Workload):
         # clock; re-evaluating the longevity condition (which ``step``
         # would also do, read-only) is deliberately skipped so a reserve
         # that fills on the window's final housekeeping cannot start a
-        # transmission one step earlier than stepped execution would.
+        # transmission one step earlier than stepped execution would.  An
+        # in-flight phase replays its countdown, one subtraction per step.
         self._accumulate_data(ctx.time + ctx.dt)
+        if self._phase is not None:
+            for _ in range(steps):
+                self._phase_remaining -= step_dt
 
     def on_power_loss(self, time: float) -> None:
         if self._phase is not None:

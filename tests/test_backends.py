@@ -23,6 +23,7 @@ Five contracts are pinned here:
   worker completion.
 """
 
+import pickle
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import List, Optional
@@ -312,6 +313,33 @@ class TestLaneFloors:
                     assert_results_equivalent(reference, candidate)
 
 
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Run pool jobs in-process; the list records each ``(function, args)``."""
+    import repro.experiments.backends as backends_module
+
+    submitted = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, function, *args):
+            submitted.append((function, args))
+            future = Future()
+            future.set_result(function(*args))
+            return future
+
+    monkeypatch.setattr(backends_module, "ProcessPoolExecutor", RecordingPool)
+    return submitted
+
+
 class TestPoolBatchBackend:
     def test_full_quick_grid_matches_serial(self, lane_floors):
         """The acceptance gate: pool+batch == serial on the full quick grid.
@@ -385,32 +413,11 @@ class TestPoolBatchBackend:
         )
         assert len(results) == 12
 
-    def test_one_pool_job_per_planned_shard(self, monkeypatch, lane_floors):
+    def test_one_pool_job_per_planned_shard(self, recording_pool, lane_floors):
         """pool+batch submits exactly the shards of ``plan_shards``, each as
         one ``execute_spec_shard`` job, in spec order."""
-        import repro.experiments.backends as backends_module
-
         lane_floors(5)
-
-        submitted = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, function, *args):
-                submitted.append((function, args))
-                future = Future()
-                future.set_result(function(*args))
-                return future
-
-        monkeypatch.setattr(backends_module, "ProcessPoolExecutor", RecordingPool)
+        submitted = recording_pool
         specs = ExperimentRunner(
             ExperimentSettings(quick=True, quick_trace_cap=120.0)
         ).grid_specs(workloads=("DE", "SC", "RT", "PF"), trace_names=("RF Cart",))
@@ -427,6 +434,29 @@ class TestPoolBatchBackend:
         serial = SerialBackend().run_specs(specs)
         for reference, candidate in zip(serial, results):
             assert_results_equivalent(reference, candidate)
+
+    @pytest.mark.parametrize("backend", ["cached:pool", "cached:pool+batch"])
+    def test_job_payloads_do_not_depend_on_the_store_path(
+        self, recording_pool, tmp_path, backend
+    ):
+        """Jobs ship settings with execution-only fields at their defaults,
+        so where the store lives never reaches a worker."""
+        payloads = []
+        for cache_dir in (tmp_path / "a", tmp_path / "a-much-longer-store-path"):
+            settings = ExperimentSettings(
+                quick=True,
+                quick_trace_cap=60.0,
+                backend=backend,
+                workers=2,
+                cache_dir=str(cache_dir),
+            )
+            sweep(workloads=("SC",), trace_names=("RF Cart",), settings=settings)
+            payloads.append(
+                [pickle.dumps(job, pickle.HIGHEST_PROTOCOL) for job in recording_pool]
+            )
+            recording_pool.clear()
+        assert payloads[0] and payloads[0] == payloads[1]
+        assert all(b"a-much-longer" not in payload for payload in payloads[1])
 
     def test_ordered_collection_under_out_of_order_completion(self):
         """The slow Morphy single must not displace the fast static lane."""

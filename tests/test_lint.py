@@ -174,6 +174,21 @@ class TestAdditiveTime:
         )
         assert rules_of(result) == ["additive-time"]
 
+    def test_flags_a_workload_hint_expiry_built_from_a_product(self):
+        result = run_rule(
+            "additive-time",
+            "repro/workloads/burst.py",
+            """
+            def quiescent_until(self, ctx):
+                steps = math.ceil(self._phase_remaining / ctx.dt)
+                end_time = ctx.time + steps * ctx.dt
+                return QuiescenceHint(
+                    no_demand_change_before_time=ctx.time + steps * ctx.dt,
+                )
+            """,
+        )
+        assert rules_of(result) == ["additive-time", "additive-time"]
+
     def test_additive_accumulation_and_wall_clock_pass(self):
         result = run_rule(
             "additive-time",

@@ -175,6 +175,168 @@ class TestProtocolHints:
         assert workload._last_time == pytest.approx(1.02)
 
 
+def steady_trace(power, samples=60):
+    import numpy as np
+
+    from repro.harvester.trace import PowerTrace
+
+    return PowerTrace(np.full(samples, power), sample_period=1.0, name="steady")
+
+
+def schedule_arrivals(workload, times):
+    """Replace a PF workload's Poisson packet schedule with ``times``."""
+    import numpy as np
+
+    arrivals = workload._arrivals
+    arrivals._times = np.asarray(times, dtype=float)
+    arrivals._times_list = [float(time) for time in times]
+    arrivals._cursor = 0
+
+
+def record_in_flight_skips(workload):
+    """Count the steps ``skip_quiescent`` replays inside each phase."""
+    skipped = {}
+    original = workload.skip_quiescent
+
+    def skip(ctx, steps, step_dt):
+        if workload._phase is not None:
+            skipped[workload._phase] = skipped.get(workload._phase, 0) + steps
+        original(ctx, steps, step_dt)
+
+    workload.skip_quiescent = skip
+    return skipped
+
+
+class TestInFlightBursts:
+    """RT's and PF's atomic radio phases promise their fixed demand."""
+
+    def stepped_to_phase(self, workload, buffer, phase, dt=0.01):
+        time = 0.0
+        while workload._phase != phase:
+            workload.step(StepContext(time, dt, True, buffer))
+            time += dt
+        return time
+
+    @pytest.mark.parametrize(
+        "phase, current", [("package", 0.0), ("transmit", 8e-3)]
+    )
+    def test_radio_transmit_hints_to_the_step_that_completes_the_phase(
+        self, phase, current
+    ):
+        buffer = StaticBuffer(millifarads(10.0))
+        workload = RadioTransmit(data_period=0.5, use_longevity_guarantee=False)
+        dt = 0.01
+        time = self.stepped_to_phase(workload, buffer, phase, dt)
+        hint = workload.quiescent_until(on_ctx(buffer, time=time, dt=dt))
+        assert hint.demand == PowerDemand.active(
+            peripheral_current=workload.radio.transmit_current if current else 0.0
+        )
+        assert hint.wake_on_voltage is None
+        # Step until the phase completes: every earlier step returns the
+        # promised demand and ends strictly before the expiry; the
+        # completing step ends exactly on it.
+        while True:
+            demand = workload.step(StepContext(time, dt, True, buffer))
+            time += dt
+            if workload._phase != phase:
+                break
+            assert demand == hint.demand
+            assert time < hint.no_demand_change_before_time
+        assert time == hint.no_demand_change_before_time
+
+    def test_radio_transmit_skip_replays_the_countdown(self):
+        buffer = StaticBuffer(millifarads(10.0))
+        stepped = RadioTransmit(data_period=0.5, use_longevity_guarantee=False)
+        skipped = RadioTransmit(data_period=0.5, use_longevity_guarantee=False)
+        dt = 0.01
+        start = self.stepped_to_phase(stepped, buffer, "transmit", dt)
+        self.stepped_to_phase(skipped, buffer, "transmit", dt)
+        time = start
+        for _ in range(7):
+            stepped.step(StepContext(time, dt, True, buffer))
+            time += dt
+        skipped.skip_quiescent(StepContext(start, time - start, True, buffer), 7, dt)
+        assert skipped._phase == stepped._phase == "transmit"
+        assert skipped._phase_remaining == stepped._phase_remaining
+
+    def test_no_promise_when_the_next_step_completes_the_phase(self):
+        buffer = StaticBuffer(millifarads(10.0))
+        workload = RadioTransmit(data_period=0.5, use_longevity_guarantee=False)
+        time = self.stepped_to_phase(workload, buffer, "package")
+        workload._phase_remaining = 0.01
+        assert workload.quiescent_until(on_ctx(buffer, time=time, dt=0.01)) is None
+
+    def test_packet_forwarding_burst_hint_stops_at_the_next_arrival(self):
+        buffer = StaticBuffer(millifarads(10.0))
+        buffer.harvest(0.04, 0.01)  # enough stored energy to receive
+        workload = PacketForwarding(use_longevity_guarantee=False)
+        schedule_arrivals(workload, [0.5, 0.53, 5.0])
+        time = self.stepped_to_phase(workload, buffer, "receive")
+        hint = workload.quiescent_until(on_ctx(buffer, time=time, dt=0.01))
+        assert hint.no_demand_change_before_time == 0.53
+        assert hint.wake_on_event
+        assert hint.demand == PowerDemand.active(
+            peripheral_current=workload.radio.receive_current
+        )
+
+    def test_brownout_mid_transmit_matches_step_by_step(self):
+        """A static buffer too small for the burst browns out mid-transmit:
+        each failed transmission is counted once, on both paths."""
+        phases = []
+
+        def make_system():
+            system = BatterylessSystem.build(
+                steady_trace(1e-3),
+                StaticBuffer(microfarads(770.0)),
+                RadioTransmit(),
+                mcu=MSP430FR5994(),
+            )
+            original = system.workload.on_power_loss
+
+            def on_power_loss(time):
+                phases.append(system.workload._phase)
+                original(time)
+
+            system.workload.on_power_loss = on_power_loss
+            return system
+
+        kwargs = dict(dt_on=0.01, dt_off=0.05, max_drain_time=30.0)
+        reference = Simulator(make_system(), fast_forward=False, **kwargs).run()
+        reference_phases, phases[:] = list(phases), []
+        system = make_system()
+        skipped = record_in_flight_skips(system.workload)
+        fast = Simulator(system, fast_forward=True, **kwargs).run()
+        assert_results_equivalent(reference, fast)
+        assert phases == reference_phases
+        failed = reference.workload_metrics["failed_operations"]
+        assert failed == phases.count("transmit") == reference.brownout_count > 0
+        assert skipped["transmit"] > 0
+
+    def test_arrival_during_a_receive_is_missed_on_both_paths(self):
+        def make_system():
+            workload = PacketForwarding(use_longevity_guarantee=False)
+            # Each pair's second packet lands inside the first one's
+            # 0.1 s receive window.
+            schedule_arrivals(workload, [20.0, 20.04, 30.0, 30.07, 40.0])
+            return BatterylessSystem.build(
+                steady_trace(5e-3),
+                StaticBuffer(millifarads(10.0)),
+                workload,
+                mcu=MSP430FR5994(),
+            )
+
+        kwargs = dict(dt_on=0.01, dt_off=0.05, max_drain_time=30.0)
+        reference = Simulator(make_system(), fast_forward=False, **kwargs).run()
+        system = make_system()
+        skipped = record_in_flight_skips(system.workload)
+        fast = Simulator(system, fast_forward=True, **kwargs).run()
+        assert_results_equivalent(reference, fast)
+        metrics = reference.workload_metrics
+        assert metrics["missed_events"] == 2
+        assert metrics["packets_received"] == metrics["work_units"] == 3
+        assert skipped["receive"] > 0 and skipped["transmit"] > 0
+
+
 class TestScalarOnPhaseEquivalence:
     """The acceptance gate: fast == step-by-step on the full quick grid."""
 

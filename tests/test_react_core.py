@@ -559,12 +559,14 @@ class TestFusedReplay:
 PAPER_GRID = ExperimentSettings(quick=True, quick_trace_cap=300.0, seed=0)
 
 #: What the replay does on the grid's four REACT cells (RF Cart, serial).
-#: The parent of this pin ran ``_replay_run`` 7425 times (2796 poll and
-#: 2878 wake-test hand-offs) and called ``usable_energy()`` 2878 times.
+#: Segments run up to the step that straddles a trace-sample edge, and RT's
+#: and PF's in-flight radio bursts replay too.  Before the fused replay the
+#: grid ran ``_replay_run`` 7425 times (2796 poll and 2878 wake-test
+#: hand-offs) and called ``usable_energy()`` 2878 times.
 REACT_GRID_REPLAY = {
-    "segments": 1823,
-    "runs": 1947,
-    "poll hand-offs": 124,
+    "segments": 2282,
+    "runs": 2411,
+    "poll hand-offs": 129,
     "usable_energy calls": 0,
 }
 
