@@ -4,12 +4,12 @@ Run from the repository root::
 
     PYTHONPATH=src python benchmarks/replay_cost.py
 
-Each row times one buffer's on-phase fast path (``fast_forward_on``, the
-call the engine makes) from one fixed mid-run state: the static buffer's
-``replay_lane``, Morphy's ``replay_segment``, and REACT's
-``replay_segment`` with 0, 3 and 5 banks connected in parallel.  A repeat
-times ``CALLS`` fresh copies of the state one call at a time, for a
-zero-step segment and for a long one.  The median zero-step call is the
+Each row times one buffer's on-phase fast path (``fast_forward`` with
+``system_on=True``, the call the engine makes) from one fixed mid-run
+state: the static buffer's ``replay_lane``, Morphy's ``replay_segment``,
+and REACT's ``replay_segment`` with 0, 3 and 5 banks connected in
+parallel.  A repeat times ``CALLS`` fresh copies of the state one call at
+a time, for a zero-step segment and for a long one.  The median zero-step call is the
 fixed cost per call; the difference of the two medians, per step, is the
 cost per step.  The state is copied after one zero-step call, so the copies
 share any per-buffer cache that call fills, as a long-lived buffer's calls
@@ -81,7 +81,7 @@ CASES = (
 
 
 def seconds_per_call(prototype, steps):
-    """Median wall-clock of one ``steps``-step ``fast_forward_on`` call.
+    """Median wall-clock of one ``steps``-step on-phase ``fast_forward`` call.
 
     Each call is timed on its own, so a preempted call moves the median by
     one sample instead of the mean by its whole delay.
@@ -94,7 +94,7 @@ def seconds_per_call(prototype, steps):
     try:
         for buffer in buffers:
             started = clock()
-            committed, _ = buffer.fast_forward_on(POWER, LOAD, DT, 0.0, steps)
+            committed, _ = buffer.fast_forward(POWER, LOAD, DT, 0.0, steps, True)
             samples.append(clock() - started)
             if committed != steps:
                 raise RuntimeError(
@@ -124,7 +124,7 @@ def main():
     print(f"{'replay':20}{'fixed µs/call':>20}{'µs/step':>20}")
     for name, factory in CASES:
         prototype = factory()
-        prototype.fast_forward_on(POWER, LOAD, DT, 0.0, 0)
+        prototype.fast_forward(POWER, LOAD, DT, 0.0, 0, True)
         cells = [
             f"{median:.2f} ({spread:.2f})"
             for median, spread in measure(prototype)

@@ -160,38 +160,25 @@ MIXED_GRID_TRACES = ("RF Cart", "Solar Campus")
 def count_buffer_fast_forwards(monkeypatch) -> Counter:
     """Count the scalar whole-segment replays of every buffer class.
 
-    Wraps ``fast_forward`` and ``fast_forward_on`` on
-    :class:`~repro.buffers.base.EnergyBuffer` and on every subclass that
-    defines its own.  Only the outermost call counts (a subclass handing a
-    segment to the generic loop through ``super()`` is one replay): the
-    returned counter fills in ``off_calls`` / ``on_calls`` and the committed
-    ``off_steps`` / ``on_steps``.  None of them depends on the host, so a
-    test can pin them exactly.
+    Wraps :meth:`~repro.buffers.base.EnergyBuffer.fast_forward`, the one
+    scalar replay entry point, and reads each call's phase from its
+    ``system_on``: the returned counter fills in ``off_calls`` /
+    ``on_calls`` and the committed ``off_steps`` / ``on_steps``.  None of
+    them depends on the host, so a test can pin them exactly.
     """
     counts = Counter()
-    depth = []
+    method = EnergyBuffer.fast_forward
 
-    def counted(method, phase):
-        def replay(buffer, *args, **kwargs):
-            depth.append(phase)
-            try:
-                steps, end_time = method(buffer, *args, **kwargs)
-            finally:
-                depth.pop()
-            if not depth:
-                counts[f"{phase}_calls"] += 1
-                counts[f"{phase}_steps"] += steps
-            return steps, end_time
+    def replay(buffer, power, load, dt, start, max_steps, system_on, **bounds):
+        steps, end_time = method(
+            buffer, power, load, dt, start, max_steps, system_on, **bounds
+        )
+        phase = "on" if system_on else "off"
+        counts[f"{phase}_calls"] += 1
+        counts[f"{phase}_steps"] += steps
+        return steps, end_time
 
-        return replay
-
-    classes = [EnergyBuffer]
-    for cls in classes:
-        classes.extend(cls.__subclasses__())
-    for cls in classes:
-        for attr, phase in (("fast_forward", "off"), ("fast_forward_on", "on")):
-            if attr in vars(cls):
-                monkeypatch.setattr(cls, attr, counted(vars(cls)[attr], phase))
+    monkeypatch.setattr(EnergyBuffer, "fast_forward", replay)
     return counts
 
 

@@ -13,8 +13,6 @@ of those conventions into a machine-checked contract:
   with AST-visitor dispatch, per-line justification-carrying disable
   pragmas, and the lint runner.
 * :mod:`~repro.analysis.lint.rules` — the rules themselves.
-* :mod:`~repro.analysis.lint.baseline` — the committed-baseline escape
-  hatch for grandfathered findings.
 * :mod:`~repro.analysis.lint.report` — text and JSON reporters.
 * :mod:`~repro.analysis.lint.cli` — ``react-repro lint`` /
   ``python -m repro.analysis``.
@@ -24,7 +22,6 @@ of disciplines can only grow monotonically — a new fast path either
 follows the contracts or carries a written justification.
 """
 
-from repro.analysis.lint.baseline import Baseline, BaselineEntry
 from repro.analysis.lint.core import (
     Finding,
     LintResult,
@@ -38,8 +35,6 @@ from repro.analysis.lint.rules import ALL_RULES, rule_by_id
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "LintResult",
     "Project",

@@ -1,10 +1,10 @@
 """``react-repro lint`` / ``python -m repro.analysis``.
 
 Runs the invariant rules over the installed ``repro`` package (or any
-paths given), applies the pragma and baseline escape hatches, prints the
-text report, and exits non-zero on surviving findings — the blocking CI
-contract.  ``--json-report FILE`` additionally writes the machine-readable
-report (the CI artifact) without changing the console output.
+paths given), applies the justified pragmas, prints the text report, and
+exits non-zero on surviving findings — the blocking CI contract.
+``--json-report FILE`` additionally writes the machine-readable report
+(the CI artifact) without changing the console output.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.lint.baseline import DEFAULT_BASELINE_NAME, Baseline
-from repro.analysis.lint.core import LintResult, Rule, lint_paths
+from repro.analysis.lint.core import Rule, lint_paths
 from repro.analysis.lint.report import render_json, render_text
 from repro.analysis.lint.rules import ALL_RULES, rule_by_id
 
@@ -32,19 +31,6 @@ def default_lint_root() -> Path:
     return Path(repro.__file__).resolve().parent
 
 
-def discover_baseline(paths: Sequence[Path]) -> Optional[Path]:
-    """Walk up from the lint roots looking for the committed baseline."""
-    for start in paths:
-        probe = Path(start).resolve()
-        if probe.is_file():
-            probe = probe.parent
-        for directory in (probe, *probe.parents):
-            candidate = directory / DEFAULT_BASELINE_NAME
-            if candidate.is_file():
-                return candidate
-    return None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="react-repro lint",
@@ -52,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Check the repro tree against its bit-equality, ledger, "
             "exception, and picklability contracts.  Suppress a finding "
             "with '# repro-lint: disable=RULE -- justification' on (or "
-            "above) the line, or grandfather it in the committed baseline."
+            "above) the line."
         ),
     )
     parser.add_argument(
@@ -79,31 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help="also write the JSON report to FILE (the CI artifact)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        type=Path,
-        default=None,
-        help=(
-            f"baseline file of grandfathered findings (default: the nearest "
-            f"{DEFAULT_BASELINE_NAME} above the linted paths, if any)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file (report grandfathered findings too)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="JUSTIFICATION",
-        default=None,
-        help=(
-            "write the surviving findings to the baseline file with the "
-            "given justification text and exit 0 (requires --baseline or a "
-            "discoverable baseline location)"
-        ),
     )
     parser.add_argument(
         "--list-rules",
@@ -138,39 +99,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"lint: no such path: {path}", file=sys.stderr)
             return EXIT_USAGE
 
-    baseline = None
-    baseline_path = args.baseline
-    if not args.no_baseline:
-        if baseline_path is None:
-            baseline_path = discover_baseline(paths)
-        if baseline_path is not None and baseline_path.exists():
-            try:
-                baseline = Baseline.load(baseline_path)
-            except (ValueError, KeyError) as error:
-                print(f"lint: bad baseline {baseline_path}: {error}", file=sys.stderr)
-                return EXIT_USAGE
-
     try:
-        result = lint_paths(paths, rules, baseline=None)  # raw pass first
+        result = lint_paths(paths, rules)
     except SyntaxError as error:
         print(f"lint: cannot parse {error.filename}: {error}", file=sys.stderr)
         return EXIT_USAGE
-
-    if args.write_baseline is not None:
-        target = args.baseline or baseline_path or Path(DEFAULT_BASELINE_NAME)
-        Baseline.from_findings(result.findings, args.write_baseline).save(target)
-        print(f"lint: wrote {len(result.findings)} entries to {target}")
-        return EXIT_CLEAN
-
-    if baseline is not None:
-        survivors, suppressed, unmatched = baseline.apply(result.findings)
-        result = LintResult(
-            findings=survivors,
-            suppressed_by_pragma=result.suppressed_by_pragma,
-            suppressed_by_baseline=suppressed,
-            files_checked=result.files_checked,
-            unmatched_baseline=unmatched,
-        )
 
     if args.json_report is not None:
         args.json_report.parent.mkdir(parents=True, exist_ok=True)
@@ -179,9 +112,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(render_json(result, rules))
     else:
         print(render_text(result, rules))
-
-    if result.unmatched_baseline:
-        return EXIT_FINDINGS  # a stale baseline must shrink, not linger
     return EXIT_CLEAN if result.clean else EXIT_FINDINGS
 
 

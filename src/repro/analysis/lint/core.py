@@ -6,17 +6,12 @@ the class hierarchy and the ``KERNEL_BUILDERS`` registration from
 different modules) implement :meth:`Rule.finalize` over the parsed
 :class:`Project`.
 
-Suppression has exactly two escape hatches, both of which require written
-justification:
-
-* a per-line pragma — ``# repro-lint: disable=RULE[,RULE...] -- why`` —
-  on the flagged line, or alone on the line above it;
-* a committed baseline entry (:mod:`repro.analysis.lint.baseline`) for
-  grandfathered findings.
-
-A pragma without a justification (or naming an unknown rule) is itself a
-finding under the reserved ``pragma`` rule id, so the escape hatch cannot
-silently widen.
+Suppression has exactly one escape hatch, and it requires a written
+justification: a per-line pragma —
+``# repro-lint: disable=RULE[,RULE...] -- why`` — on the flagged line, or
+alone on the line above it.  A pragma without a justification (or naming
+an unknown rule) is itself a finding under the reserved ``pragma`` rule
+id, so the escape hatch cannot silently widen.
 """
 
 from __future__ import annotations
@@ -25,10 +20,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # import cycle: baseline.py imports Finding from here
-    from repro.analysis.lint.baseline import Baseline, BaselineEntry
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Reserved rule id for malformed pragmas; never suppressible by pragma.
 PRAGMA_RULE_ID = "pragma"
@@ -48,7 +40,7 @@ class Finding:
     line: int  # 1-based
     column: int  # 0-based
     message: str
-    line_text: str = ""  # stripped source line; the baseline matches on it
+    line_text: str = ""  # stripped source line, for the JSON report
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.column + 1}: {self.rule}: {self.message}"
@@ -145,7 +137,7 @@ class Rule:
     """One invariant.  Subclasses set the class attributes and override
     :meth:`check` (per file) and/or :meth:`finalize` (whole project)."""
 
-    #: Stable identifier used in reports, pragmas, and the baseline.
+    #: Stable identifier used in reports and pragmas.
     id: str = ""
     #: One-line statement of the invariant, shown by ``lint --list-rules``.
     description: str = ""
@@ -182,9 +174,7 @@ class LintResult:
 
     findings: List[Finding]  # surviving findings, sorted
     suppressed_by_pragma: int = 0
-    suppressed_by_baseline: int = 0
     files_checked: int = 0
-    unmatched_baseline: List[BaselineEntry] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -198,9 +188,8 @@ def _sort_key(finding: Finding) -> Tuple[str, int, int, str]:
 def lint_sources(
     sources: Sequence[SourceFile],
     rules: Sequence[Rule],
-    baseline: Optional[Baseline] = None,
 ) -> LintResult:
-    """Run ``rules`` over parsed ``sources`` and apply both escape hatches."""
+    """Run ``rules`` over parsed ``sources`` and apply the pragmas."""
     project = Project({source.rel_path: source for source in sources})
     raw: List[Finding] = []
     for source in sources:
@@ -220,17 +209,10 @@ def lint_sources(
         else:
             survivors.append(finding)
 
-    baseline_hits = 0
-    unmatched = []
-    if baseline is not None:
-        survivors, baseline_hits, unmatched = baseline.apply(survivors)
-
     return LintResult(
         findings=sorted(survivors, key=_sort_key),
         suppressed_by_pragma=pragma_hits,
-        suppressed_by_baseline=baseline_hits,
         files_checked=len(sources),
-        unmatched_baseline=unmatched,
     )
 
 
@@ -263,10 +245,9 @@ def _package_rel_path(file: Path) -> str:
 def lint_paths(
     paths: Iterable[Path],
     rules: Sequence[Rule],
-    baseline: Optional[Baseline] = None,
 ) -> LintResult:
     """Discover, parse, and lint every ``*.py`` under ``paths``."""
     sources = []
     for file, rel_path in discover_files(paths):
         sources.append(SourceFile(rel_path, file.read_text(), path=file))
-    return lint_sources(sources, rules, baseline)
+    return lint_sources(sources, rules)

@@ -18,15 +18,9 @@ from repro.analysis.lint.core import LintResult, Rule
 def render_text(result: LintResult, rules: Sequence[Rule]) -> str:
     """Human-readable report: one line per finding plus a summary."""
     lines = [finding.format() for finding in result.findings]
-    for entry in result.unmatched_baseline:
-        lines.append(
-            f"{entry.path}: baseline: stale entry for {entry.rule} "
-            f"({entry.line_text!r} no longer matches; remove it)"
-        )
     summary = (
         f"{len(result.findings)} finding(s) in {result.files_checked} file(s)"
-        f" [{result.suppressed_by_pragma} pragma-suppressed,"
-        f" {result.suppressed_by_baseline} baselined]"
+        f" [{result.suppressed_by_pragma} pragma-suppressed]"
     )
     lines.append(summary if lines else f"clean: {summary}")
     return "\n".join(lines)
@@ -39,7 +33,6 @@ def render_json(result: LintResult, rules: Sequence[Rule]) -> str:
         "clean": result.clean,
         "files_checked": result.files_checked,
         "suppressed_by_pragma": result.suppressed_by_pragma,
-        "suppressed_by_baseline": result.suppressed_by_baseline,
         "rules": {rule.id: rule.description for rule in rules},
         "counts_by_rule": dict(sorted(by_rule.items())),
         "findings": [
@@ -52,10 +45,6 @@ def render_json(result: LintResult, rules: Sequence[Rule]) -> str:
                 "line_text": finding.line_text,
             }
             for finding in result.findings
-        ],
-        "stale_baseline_entries": [
-            {"rule": entry.rule, "path": entry.path, "line_text": entry.line_text}
-            for entry in result.unmatched_baseline
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -15,6 +15,8 @@ from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
+_INF = float("inf")
+
 
 @dataclass
 class BufferLedger:
@@ -81,13 +83,13 @@ class LockstepKernel:
       writes the lane's full state back and returns its buffer.
 
     This base class adds the vectorized counterparts of the scalar
-    :meth:`EnergyBuffer.fast_forward` / :meth:`~EnergyBuffer.fast_forward_on`
-    entry points: given a :class:`~repro.sim.segments.LaneSegmentPlan`, each
-    lane replays up to its per-lane step budget of whole-segment steps
-    through the kernel's own hooks, with lanes that stopped (or never
-    started) masked to exact no-op inputs — zero energy, zero load, zero
-    ``dt``, and a ``-inf`` housekeeping timestamp so no controller poll can
-    fire for a frozen lane.
+    :meth:`EnergyBuffer.fast_forward` entry point, one per phase
+    (``fast_forward`` off, ``fast_forward_on`` on): given a
+    :class:`~repro.sim.segments.LaneSegmentPlan`, each lane replays up to
+    its per-lane step budget of whole-segment steps through the kernel's
+    own hooks, with lanes that stopped (or never started) masked to exact
+    no-op inputs — zero energy, zero load, zero ``dt``, and a ``-inf``
+    housekeeping timestamp so no controller poll can fire for a frozen lane.
 
     Because the replay goes through the same hooks as the lockstep main
     loop, a fast-forwarded lane's trajectory and ledger are bit-identical
@@ -321,17 +323,18 @@ class EnergyBuffer(ABC):
         """Whether a :class:`~repro.sim.batch.BatchSimulator` lane can host this buffer."""
         return self.batch_key() is not None
 
-    # -- off-phase fast forwarding --------------------------------------------
+    # -- whole-segment fast forwarding ------------------------------------------
 
     def can_fast_forward(self) -> bool:
-        """Whether the simulator may batch off-phase steps through this buffer.
+        """Whether the simulator may replay whole segments through this buffer.
 
-        While the power gate is disconnected the simulator's per-step work
-        reduces to ``harvest`` / ``draw`` / ``housekeeping`` with a constant
-        harvest power (the trace is zero-order-hold) and the gate's
-        quiescent load.  :meth:`fast_forward` replays exactly that call
-        sequence without the engine's per-step dispatch, so it is exact by
-        construction for any buffer implemented through those three hooks.
+        While the power gate is disconnected, or a workload has declared a
+        quiescent stretch, the simulator's per-step work reduces to
+        ``harvest`` / ``draw`` / ``housekeeping`` with a constant harvest
+        power (the trace is zero-order-hold) and a constant load.
+        :meth:`fast_forward` replays exactly that call sequence without the
+        engine's per-step dispatch, so it is exact by construction for any
+        buffer implemented through those three hooks.
 
         Subclasses must override this to return False if their ``harvest``
         can raise the output voltage beyond the
@@ -363,32 +366,96 @@ class EnergyBuffer(ABC):
         voltage = self.output_voltage
         return math.sqrt(voltage * voltage + 2.0 * energy / self.capacitance)
 
+    def follows_recurrence(self) -> bool:
+        """Whether this buffer's steps are the recurrence its :meth:`_replay` inlines.
+
+        False by default, and then :meth:`fast_forward` runs the generic
+        :meth:`replay_hooks` loop.  Buffers with a fused replay
+        (:class:`~repro.buffers.static.StaticBuffer`,
+        :class:`~repro.buffers.morphy.MorphyBuffer` and
+        :class:`~repro.buffers.react_adapter.ReactBuffer`) return True when
+        their hooks are exactly the arithmetic that replay runs.
+        """
+        return False
+
+    def _replay(
+        self,
+        energy: float,
+        load_current: float,
+        dt: float,
+        time: float,
+        max_steps: int,
+        system_on: bool,
+        stop_above: float,
+        stop_below: float,
+        brownout_floor: float,
+        drain_floor: float,
+        wake_energy: Optional[float],
+    ) -> Tuple[int, float]:
+        """The buffer's fused replay: :meth:`replay_hooks`, bit for bit.
+
+        :meth:`fast_forward` calls it only when :meth:`follows_recurrence`
+        is True, with the per-step ``energy`` and every bound a float
+        (``±inf`` for none) except ``wake_energy`` (None for none).
+        """
+        raise NotImplementedError
+
     def fast_forward(
         self,
         delivered_power: float,
-        quiescent_current: float,
+        load_current: float,
         dt: float,
         start_time: float,
         max_steps: int,
+        system_on: bool,
+        *,
         stop_above: Optional[float] = None,
         stop_below: Optional[float] = None,
+        brownout_floor: Optional[float] = None,
         drain_floor: Optional[float] = None,
+        wake_energy: Optional[float] = None,
     ) -> Tuple[int, float]:
-        """Advance up to ``max_steps`` off-phase steps of size ``dt``.
+        """Advance up to ``max_steps`` constant-power steps of size ``dt``.
 
-        Replays the exact per-step sequence the simulator would execute
-        while the platform is off — harvest ``delivered_power * dt``, draw
-        the gate's quiescent current plus :meth:`overhead_current`, then run
-        :meth:`housekeeping` — but in a tight loop free of the engine's
-        per-step frontend/workload/gate/recorder dispatch.
+        Replays the exact per-step sequence the simulator would execute —
+        harvest ``delivered_power * dt``, draw ``load_current`` plus
+        :meth:`overhead_current`, then run :meth:`housekeeping` — but in a
+        tight loop free of the engine's per-step frontend/workload/gate/
+        recorder dispatch.  ``system_on`` names the phase.  While the gate
+        is disconnected ``load_current`` is its quiescent current; while
+        the workload has declared a
+        :class:`~repro.workloads.base.QuiescenceHint` it is the promised
+        constant demand (MCU mode + peripherals + gate quiescent current).
+        Buffers whose :meth:`follows_recurrence` is True run their fused
+        :meth:`_replay`; every other buffer runs :meth:`replay_hooks`.
+        Both commit the same steps with the same bits.
 
-        Stops early (without consuming the offending step) when the output
-        voltage reaches ``stop_above`` at a step start, or when
-        :meth:`post_harvest_voltage_bound` says the next harvest could reach
-        it.  Stops after a committed step when the voltage falls below
-        ``stop_below`` (the harvester's efficiency region changed) or when
-        ``drain_floor`` is set and the buffer can no longer restart the
-        platform (the post-trace drain termination test).
+        Stop conditions, all conservative (an un-consumed step is simply
+        executed by the engine's exact per-step machinery):
+
+        * ``brownout_floor`` (on phase) — checked against the voltage at
+          each step *start* (equal to the previous step's end): harvesting
+          can only raise the voltage, so a step starting above the floor
+          cannot brown out mid-step, while a step starting at or below it
+          might (the gate tests the post-harvest voltage) and is left to
+          the engine's exact machinery to resolve.
+        * ``stop_above`` — the gate's enable voltage, a wake voltage or the
+          next regulator efficiency breakpoint above; checked against the
+          present voltage and the :meth:`post_harvest_voltage_bound`
+          *before* committing a step, so no committed step's observation
+          point (post-harvest) can have crossed it.
+        * ``wake_energy`` (on phase) — a pending longevity request with no
+          expressible wake voltage; the loop stops before any step whose
+          harvest could lift :meth:`usable_energy` to the request.  Harvest
+          raises the usable energy by at most the offered energy, and a
+          double margin absorbs both float rounding and housekeeping-driven
+          jumps (which are caught at the next iteration's re-check, after
+          they happen).
+        * ``stop_below`` — the regulator's efficiency region changed; the
+          committed step still used the correct (pre-crossing) power.
+        * ``drain_floor`` (off phase) — after a committed step, the buffer
+          can no longer restart the platform (the post-trace drain
+          termination test).
 
         Returns ``(steps_consumed, end_time)`` where ``end_time`` is
         ``start_time`` advanced by ``dt`` per consumed step using the same
@@ -397,76 +464,58 @@ class EnergyBuffer(ABC):
         poll schedules) sees bit-identical timestamps.
         """
         energy = delivered_power * dt
-        time = start_time
-        steps = 0
-        while steps < max_steps:
-            if stop_above is not None:
-                if self.output_voltage >= stop_above:
-                    break
-                if self.post_harvest_voltage_bound(energy) >= stop_above:
-                    break
-            self.harvest(energy, dt)
-            self.draw(quiescent_current + self.overhead_current(False), dt)
-            self.housekeeping(time, dt, False)
-            time += dt
-            steps += 1
-            if stop_below is not None and self.output_voltage < stop_below:
-                break
-            if drain_floor is not None and self.output_voltage < drain_floor:
-                if not self.can_reach_voltage(drain_floor):
-                    break
-        return steps, time
+        if self.follows_recurrence():
+            return self._replay(
+                energy,
+                load_current,
+                dt,
+                start_time,
+                max_steps,
+                system_on,
+                _INF if stop_above is None else stop_above,
+                -_INF if stop_below is None else stop_below,
+                -_INF if brownout_floor is None else brownout_floor,
+                -_INF if drain_floor is None else drain_floor,
+                wake_energy,
+            )
+        return self.replay_hooks(
+            energy,
+            load_current,
+            dt,
+            start_time,
+            max_steps,
+            system_on,
+            stop_above,
+            stop_below,
+            brownout_floor,
+            drain_floor,
+            wake_energy,
+        )
 
-    # -- on-phase fast forwarding ----------------------------------------------
-
-    def fast_forward_on(
+    def replay_hooks(
         self,
-        delivered_power: float,
+        energy: float,
         load_current: float,
         dt: float,
         start_time: float,
         max_steps: int,
+        system_on: bool,
         stop_above: Optional[float] = None,
         stop_below: Optional[float] = None,
         brownout_floor: Optional[float] = None,
+        drain_floor: Optional[float] = None,
         wake_energy: Optional[float] = None,
     ) -> Tuple[int, float]:
-        """Advance up to ``max_steps`` quiescent *on*-phase steps of size ``dt``.
+        """The generic replay: :meth:`fast_forward`'s loop through the hooks.
 
-        The on-phase analogue of :meth:`fast_forward`, used when the
-        workload has declared a :class:`~repro.workloads.base.QuiescenceHint`:
-        the platform load is the constant ``load_current`` (MCU mode +
-        peripherals + gate quiescent current; this method adds the buffer's
-        own :meth:`overhead_current`, re-evaluated per step since designs
-        like REACT tie it to the output voltage) and the per-step call
-        sequence — harvest, draw, ``housekeeping(..., system_on=True)`` —
-        replays exactly what the engine would execute, so controller
-        polling and replenishment still run on their own schedules.
-
-        Stop conditions, all conservative (an un-consumed step is simply
-        executed by the engine's exact per-step machinery):
-
-        * ``stop_above`` — a wake voltage or the next regulator efficiency
-          breakpoint above; checked against the present voltage and the
-          :meth:`post_harvest_voltage_bound` *before* committing a step, so
-          no committed step's workload-observation point (post-harvest) can
-          have crossed it.
-        * ``wake_energy`` — a pending longevity request with no expressible
-          wake voltage; the loop stops before any step whose harvest could
-          lift :meth:`usable_energy` to the request.  Harvest raises the
-          usable energy by at most the offered energy, and a double margin
-          absorbs both float rounding and housekeeping-driven jumps (which
-          are caught at the next iteration's re-check, after they happen).
-        * ``brownout_floor`` — checked against the voltage at each step
-          *start* (equal to the previous step's end): harvesting can only
-          raise the voltage, so a step starting above the floor cannot
-          brown out mid-step, while a step starting at or below it might
-          (the gate tests the post-harvest voltage) and is left to the
-          engine's exact machinery to resolve.
-        * ``stop_below`` — the regulator's efficiency region changed; the
-          committed step still used the correct (pre-crossing) power.
+        Takes the per-step harvested ``energy`` and the bounds of
+        :meth:`fast_forward`, None for none; a None bound costs no call
+        (no :meth:`post_harvest_voltage_bound`, :meth:`usable_energy` or
+        :meth:`can_reach_voltage`).  It is exact by construction for any
+        buffer implemented through ``harvest`` / ``draw`` /
+        ``housekeeping``, and it is the reference every fused
+        :meth:`_replay` is tested against.
         """
-        energy = delivered_power * dt
         time = start_time
         steps = 0
         while steps < max_steps:
@@ -484,12 +533,15 @@ class EnergyBuffer(ABC):
             ):
                 break
             self.harvest(energy, dt)
-            self.draw(load_current + self.overhead_current(True), dt)
-            self.housekeeping(time, dt, True)
+            self.draw(load_current + self.overhead_current(system_on), dt)
+            self.housekeeping(time, dt, system_on)
             time += dt
             steps += 1
             if stop_below is not None and self.output_voltage < stop_below:
                 break
+            if drain_floor is not None and self.output_voltage < drain_floor:
+                if not self.can_reach_voltage(drain_floor):
+                    break
         return steps, time
 
     # -- longevity guarantees --------------------------------------------------

@@ -37,10 +37,10 @@ switches.  Both losses are accumulated in ``ledger.switching_loss`` — they
 are the quantity the REACT-versus-Morphy comparison (and the isolation
 ablation) measures.
 
-The scalar fast paths run :func:`replay_segment`, one whole-segment replay
-of the harvest, draw and housekeeping hooks on flat floats, bit-identical
-to the hook-based :meth:`~repro.buffers.base.EnergyBuffer.fast_forward`
-loops it replaces.
+The scalar fast path, :meth:`~repro.buffers.base.EnergyBuffer.fast_forward`,
+runs :func:`replay_segment`, one whole-segment replay of the harvest, draw
+and housekeeping hooks on flat floats, bit-identical to the hook loop
+(:meth:`~repro.buffers.base.EnergyBuffer.replay_hooks`) it replaces.
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ from repro.capacitors.leakage import (
 )
 from repro.exceptions import ConfigurationError
 from repro.units import capacitor_energy, millifarads, next_grid_time
-
-_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -190,6 +188,196 @@ class MorphyConfigurationTable:
         ]
 
 
+def replay_segment(
+    buffer: MorphyBuffer,
+    energy: float,
+    load: float,
+    dt: float,
+    time: float,
+    max_steps: int,
+    system_on: bool,
+    stop_above: float,
+    stop_below: float,
+    brownout_floor: float,
+    drain_floor: float,
+    wake_energy: Optional[float],
+) -> Tuple[int, float]:
+    """Replay up to ``max_steps`` harvest → draw → housekeeping steps of Morphy.
+
+    Morphy's fused replay (``MorphyBuffer._replay``, the signature of
+    :meth:`EnergyBuffer._replay`), which
+    :meth:`EnergyBuffer.fast_forward` runs for both phases: it commits
+    exactly the steps the hook loop :meth:`EnergyBuffer.replay_hooks`
+    would, with the same cell voltages, ledger and poll schedule, but runs
+    :meth:`MorphyBuffer.harvest`, :meth:`~MorphyBuffer.draw` and
+    :meth:`~MorphyBuffer.housekeeping` expression for expression on flat
+    locals.  The cell voltages update the buffer's own list in place, the
+    level's topology constants are bound once per configuration, the output
+    voltage is the same builtin ``sum`` over the chain's first cells as
+    :attr:`MorphyBuffer.output_voltage`, recomputed only after a mutation
+    that the next read depends on, and each ledger addend joins its running
+    total in the step path's order.  Bounds are floats (``±inf`` for
+    none); ``wake_energy`` is the pending longevity request, or None.
+    ``system_on`` names the phase; Morphy's controller is separately
+    powered and its overhead current is nil, so both phases step alike.
+
+    Two events go back to the object model, so their policy and physics
+    keep one copy: a due poll that changes the level (after a ledger and
+    poll-schedule write-back, through :meth:`MorphyBuffer._poll` and
+    :meth:`~MorphyBuffer.reconfigure`) and the drain reachability test
+    (:meth:`MorphyBuffer.can_reach_voltage`).
+
+    Returns ``(steps, end_time)``; ``end_time`` adds ``dt`` once per
+    committed step, the engine's additive accumulation.
+    """
+    unit = buffer.table.unit_capacitance
+    top = buffer.table.max_level
+    efficiency = buffer.network_efficiency
+    high = buffer.high_threshold
+    low = buffer.low_threshold
+    period = buffer.poll_period
+    rated_current, rated_voltage = proportional_leakage(buffer.leakage)
+    sqrt = math.sqrt
+
+    harvesting = not energy <= 0.0
+    usable = energy * efficiency
+    conduction = energy - usable  # harvest's conduction loss when nothing clips
+    current = load + 0.0  # plus the buffer's nil overhead current
+    drawing = not (current <= 0.0 or dt <= 0.0)
+    draw_charge = current * dt / efficiency
+    waking = wake_energy is not None
+    wake_margin = 2.0 * energy
+
+    ledger = buffer.ledger
+    offered, stored, delivered = ledger.offered, ledger.stored, ledger.delivered
+    clipped, leaked, switching = ledger.clipped, ledger.leaked, ledger.switching_loss
+    next_poll = buffer._next_poll_time
+    voltages = buffer._voltages
+    cell = voltages.__getitem__
+    level = buffer.level
+    groups, across, firsts, capacitance, chain_share, full, floor = _level_constants(
+        buffer, level
+    )
+    # repro-lint: disable=ledger-sum -- MorphyBuffer.output_voltage's own builtin sum, same order
+    voltage = sum(map(cell, firsts))
+    steps = 0
+    while steps < max_steps:
+        if voltage <= brownout_floor or voltage >= stop_above:
+            break
+        if harvesting:
+            # post_harvest_voltage_bound; harvest reuses the headroom.
+            headroom = full - 0.5 * capacitance * voltage * voltage
+            capped = headroom if headroom > 0.0 else 0.0
+            bounded = capped if capped < usable else usable
+            if sqrt(voltage * voltage + 2.0 * bounded / capacitance) >= stop_above:
+                break
+        if waking:
+            reserve = 0.5 * capacitance * voltage * voltage - floor
+            if (reserve if reserve > 0.0 else 0.0) + wake_margin >= wake_energy:
+                break
+
+        # -- harvest: through the switch fabric, clipped at max_voltage.
+        offered += energy
+        if harvesting:
+            if usable <= capped:
+                gained = usable
+                lost = conduction
+                surplus = 0.0
+            else:
+                gained = capped
+                crossing = gained / efficiency
+                lost = crossing - gained
+                surplus = energy - crossing
+            if gained > 0.0:
+                shift = sqrt(voltage * voltage + 2.0 * gained / capacitance) - voltage
+                if shift != 0.0:
+                    chain_charge = shift * capacitance * chain_share
+                    for members, share in groups:
+                        delta = chain_charge / share
+                        for index in members:
+                            moved = voltages[index] + delta
+                            voltages[index] = moved if moved > 0.0 else 0.0
+                    for index in across:
+                        moved = voltages[index] + shift
+                        voltages[index] = moved if moved > 0.0 else 0.0
+                    # repro-lint: disable=ledger-sum -- MorphyBuffer.output_voltage's own builtin sum, same order
+                    voltage = sum(map(cell, firsts))
+            stored += gained
+            switching += lost
+            clipped += surplus
+
+        # -- draw: the load through the switch fabric.
+        if drawing:
+            available = capacitance * voltage
+            taken = available if available < draw_charge else draw_charge
+            before = 0.5 * capacitance * voltage * voltage
+            output = (available - taken) / capacitance
+            shift = output - voltage
+            if shift != 0.0:
+                chain_charge = shift * capacitance * chain_share
+                for members, share in groups:
+                    delta = chain_charge / share
+                    for index in members:
+                        moved = voltages[index] + delta
+                        voltages[index] = moved if moved > 0.0 else 0.0
+                for index in across:
+                    moved = voltages[index] + shift
+                    voltages[index] = moved if moved > 0.0 else 0.0
+            removed = before - 0.5 * capacitance * output * output
+            given = removed * efficiency
+            switching += removed - given
+            delivered += given
+
+        # -- housekeeping: per-cell leakage, then the controller poll.
+        step_leaked = 0.0
+        for index, held in enumerate(voltages):
+            if held <= 0.0:
+                continue
+            lost_charge = rated_current * (held / rated_voltage) * dt
+            kept = held - lost_charge / unit
+            if not kept > 0.0:
+                kept = 0.0
+            step_leaked += 0.5 * unit * held * held - 0.5 * unit * kept * kept
+            voltages[index] = kept
+        leaked += step_leaked
+        # repro-lint: disable=ledger-sum -- MorphyBuffer.output_voltage's own builtin sum, same order
+        voltage = sum(map(cell, firsts))
+        if time >= next_poll:
+            next_poll = next_grid_time(time, period)
+            # MorphyBuffer._poll's conditions: only a level change leaves.
+            if (voltage >= high and level < top) or (voltage <= low and level > 0):
+                ledger.offered, ledger.stored = offered, stored
+                ledger.delivered, ledger.clipped = delivered, clipped
+                ledger.leaked, ledger.switching_loss = leaked, switching
+                buffer._next_poll_time = next_poll
+                buffer._poll()
+                switching = ledger.switching_loss
+                level = buffer.level
+                (
+                    groups,
+                    across,
+                    firsts,
+                    capacitance,
+                    chain_share,
+                    full,
+                    floor,
+                ) = _level_constants(buffer, level)
+                # repro-lint: disable=ledger-sum -- MorphyBuffer.output_voltage's own builtin sum, same order
+                voltage = sum(map(cell, firsts))
+
+        time += dt
+        steps += 1
+        if voltage < stop_below:
+            break
+        if voltage < drain_floor and not buffer.can_reach_voltage(drain_floor):
+            break
+    ledger.offered, ledger.stored = offered, stored
+    ledger.delivered, ledger.clipped = delivered, clipped
+    ledger.leaked, ledger.switching_loss = leaked, switching
+    buffer._next_poll_time = next_poll
+    return steps, time
+
+
 class MorphyBuffer(EnergyBuffer):
     """A software-defined charge-storage array with lossy reconfiguration."""
 
@@ -205,6 +393,9 @@ class MorphyBuffer(EnergyBuffer):
     #: dynamics must set this False: their lanes fall back to the scalar
     #: engine and their segments to the per-step hook replay.
     batch_exact = True
+
+    #: The fused whole-segment replay (see :meth:`follows_recurrence`).
+    _replay = replay_segment
 
     def __init__(
         self,
@@ -391,7 +582,7 @@ class MorphyBuffer(EnergyBuffer):
         )
         return ("morphy", self.cap_count, topology)
 
-    # -- off-phase fast forwarding ----------------------------------------------------
+    # -- fast forwarding ---------------------------------------------------------------
 
     def post_harvest_voltage_bound(self, energy: float) -> float:
         """Exact post-harvest output voltage for the active configuration.
@@ -411,94 +602,6 @@ class MorphyBuffer(EnergyBuffer):
         )
         stored = min(usable, max(0.0, headroom))
         return math.sqrt(voltage * voltage + 2.0 * stored / capacitance)
-
-    def fast_forward(
-        self,
-        delivered_power: float,
-        quiescent_current: float,
-        dt: float,
-        start_time: float,
-        max_steps: int,
-        stop_above: Optional[float] = None,
-        stop_below: Optional[float] = None,
-        drain_floor: Optional[float] = None,
-    ) -> Tuple[int, float]:
-        """Exact off-phase replay through :func:`replay_segment`.
-
-        Buffers whose hooks are not that recurrence
-        (:meth:`follows_recurrence` is False) take the hook-based
-        :meth:`EnergyBuffer.fast_forward`.
-        """
-        if not self.follows_recurrence():
-            return super().fast_forward(
-                delivered_power,
-                quiescent_current,
-                dt,
-                start_time,
-                max_steps,
-                stop_above,
-                stop_below,
-                drain_floor,
-            )
-        return replay_segment(
-            self,
-            delivered_power * dt,
-            quiescent_current,
-            dt,
-            start_time,
-            max_steps,
-            False,
-            _INF if stop_above is None else stop_above,
-            -_INF if stop_below is None else stop_below,
-            -_INF,
-            -_INF if drain_floor is None else drain_floor,
-            None,
-        )
-
-    def fast_forward_on(
-        self,
-        delivered_power: float,
-        load_current: float,
-        dt: float,
-        start_time: float,
-        max_steps: int,
-        stop_above: Optional[float] = None,
-        stop_below: Optional[float] = None,
-        brownout_floor: Optional[float] = None,
-        wake_energy: Optional[float] = None,
-    ) -> Tuple[int, float]:
-        """Exact on-phase replay through :func:`replay_segment`.
-
-        Buffers whose hooks are not that recurrence
-        (:meth:`follows_recurrence` is False) take the hook-based
-        :meth:`EnergyBuffer.fast_forward_on`.
-        """
-        if not self.follows_recurrence():
-            return super().fast_forward_on(
-                delivered_power,
-                load_current,
-                dt,
-                start_time,
-                max_steps,
-                stop_above,
-                stop_below,
-                brownout_floor,
-                wake_energy,
-            )
-        return replay_segment(
-            self,
-            delivered_power * dt,
-            load_current,
-            dt,
-            start_time,
-            max_steps,
-            True,
-            _INF if stop_above is None else stop_above,
-            -_INF if stop_below is None else stop_below,
-            -_INF if brownout_floor is None else brownout_floor,
-            -_INF,
-            wake_energy,
-        )
 
     # -- energy flow -----------------------------------------------------------------------
 
@@ -712,195 +815,6 @@ class MorphyBuffer(EnergyBuffer):
         self._next_poll_time = 0.0
         self.reconfiguration_count = 0
         self._reset_base()
-
-
-def replay_segment(
-    buffer: MorphyBuffer,
-    energy: float,
-    load: float,
-    dt: float,
-    time: float,
-    max_steps: int,
-    system_on: bool,
-    stop_above: float,
-    stop_below: float,
-    brownout_floor: float,
-    drain_floor: float,
-    wake_energy: Optional[float],
-) -> Tuple[int, float]:
-    """Replay up to ``max_steps`` harvest → draw → housekeeping steps of Morphy.
-
-    The whole-segment recurrence behind :meth:`MorphyBuffer.fast_forward`
-    and :meth:`MorphyBuffer.fast_forward_on`: it commits exactly the steps
-    :meth:`EnergyBuffer.fast_forward` / :meth:`EnergyBuffer.fast_forward_on`
-    would, with the same cell voltages, ledger and poll schedule, but runs
-    :meth:`MorphyBuffer.harvest`, :meth:`~MorphyBuffer.draw` and
-    :meth:`~MorphyBuffer.housekeeping` expression for expression on flat
-    locals.  The cell voltages update the buffer's own list in place, the
-    level's topology constants are bound once per configuration, the output
-    voltage is the same builtin ``sum`` over the chain's first cells as
-    :attr:`MorphyBuffer.output_voltage`, recomputed only after a mutation
-    that the next read depends on, and each ledger addend joins its running
-    total in the step path's order.  Bounds are floats (``±inf`` for
-    none); ``wake_energy`` is the pending longevity request, or None.
-    ``system_on`` names the phase; Morphy's controller is separately
-    powered and its overhead current is nil, so both phases step alike.
-
-    Two events go back to the object model, so their policy and physics
-    keep one copy: a due poll that changes the level (after a ledger and
-    poll-schedule write-back, through :meth:`MorphyBuffer._poll` and
-    :meth:`~MorphyBuffer.reconfigure`) and the drain reachability test
-    (:meth:`MorphyBuffer.can_reach_voltage`).
-
-    Returns ``(steps, end_time)``; ``end_time`` adds ``dt`` once per
-    committed step, the engine's additive accumulation.
-    """
-    unit = buffer.table.unit_capacitance
-    top = buffer.table.max_level
-    efficiency = buffer.network_efficiency
-    high = buffer.high_threshold
-    low = buffer.low_threshold
-    period = buffer.poll_period
-    rated_current, rated_voltage = proportional_leakage(buffer.leakage)
-    sqrt = math.sqrt
-
-    harvesting = not energy <= 0.0
-    usable = energy * efficiency
-    conduction = energy - usable  # harvest's conduction loss when nothing clips
-    current = load + 0.0  # plus the buffer's nil overhead current
-    drawing = not (current <= 0.0 or dt <= 0.0)
-    draw_charge = current * dt / efficiency
-    waking = wake_energy is not None
-    wake_margin = 2.0 * energy
-
-    ledger = buffer.ledger
-    offered, stored, delivered = ledger.offered, ledger.stored, ledger.delivered
-    clipped, leaked, switching = ledger.clipped, ledger.leaked, ledger.switching_loss
-    next_poll = buffer._next_poll_time
-    voltages = buffer._voltages
-    cell = voltages.__getitem__
-    level = buffer.level
-    groups, across, firsts, capacitance, chain_share, full, floor = _level_constants(
-        buffer, level
-    )
-    # repro-lint: disable=ledger-sum -- MorphyBuffer.output_voltage's own builtin sum, same order
-    voltage = sum(map(cell, firsts))
-    steps = 0
-    while steps < max_steps:
-        if voltage <= brownout_floor or voltage >= stop_above:
-            break
-        if harvesting:
-            # post_harvest_voltage_bound; harvest reuses the headroom.
-            headroom = full - 0.5 * capacitance * voltage * voltage
-            capped = headroom if headroom > 0.0 else 0.0
-            bounded = capped if capped < usable else usable
-            if sqrt(voltage * voltage + 2.0 * bounded / capacitance) >= stop_above:
-                break
-        if waking:
-            reserve = 0.5 * capacitance * voltage * voltage - floor
-            if (reserve if reserve > 0.0 else 0.0) + wake_margin >= wake_energy:
-                break
-
-        # -- harvest: through the switch fabric, clipped at max_voltage.
-        offered += energy
-        if harvesting:
-            if usable <= capped:
-                gained = usable
-                lost = conduction
-                surplus = 0.0
-            else:
-                gained = capped
-                crossing = gained / efficiency
-                lost = crossing - gained
-                surplus = energy - crossing
-            if gained > 0.0:
-                shift = sqrt(voltage * voltage + 2.0 * gained / capacitance) - voltage
-                if shift != 0.0:
-                    chain_charge = shift * capacitance * chain_share
-                    for members, share in groups:
-                        delta = chain_charge / share
-                        for index in members:
-                            moved = voltages[index] + delta
-                            voltages[index] = moved if moved > 0.0 else 0.0
-                    for index in across:
-                        moved = voltages[index] + shift
-                        voltages[index] = moved if moved > 0.0 else 0.0
-                    # repro-lint: disable=ledger-sum -- MorphyBuffer.output_voltage's own builtin sum, same order
-                    voltage = sum(map(cell, firsts))
-            stored += gained
-            switching += lost
-            clipped += surplus
-
-        # -- draw: the load through the switch fabric.
-        if drawing:
-            available = capacitance * voltage
-            taken = available if available < draw_charge else draw_charge
-            before = 0.5 * capacitance * voltage * voltage
-            output = (available - taken) / capacitance
-            shift = output - voltage
-            if shift != 0.0:
-                chain_charge = shift * capacitance * chain_share
-                for members, share in groups:
-                    delta = chain_charge / share
-                    for index in members:
-                        moved = voltages[index] + delta
-                        voltages[index] = moved if moved > 0.0 else 0.0
-                for index in across:
-                    moved = voltages[index] + shift
-                    voltages[index] = moved if moved > 0.0 else 0.0
-            removed = before - 0.5 * capacitance * output * output
-            given = removed * efficiency
-            switching += removed - given
-            delivered += given
-
-        # -- housekeeping: per-cell leakage, then the controller poll.
-        step_leaked = 0.0
-        for index, held in enumerate(voltages):
-            if held <= 0.0:
-                continue
-            lost_charge = rated_current * (held / rated_voltage) * dt
-            kept = held - lost_charge / unit
-            if not kept > 0.0:
-                kept = 0.0
-            step_leaked += 0.5 * unit * held * held - 0.5 * unit * kept * kept
-            voltages[index] = kept
-        leaked += step_leaked
-        # repro-lint: disable=ledger-sum -- MorphyBuffer.output_voltage's own builtin sum, same order
-        voltage = sum(map(cell, firsts))
-        if time >= next_poll:
-            next_poll = next_grid_time(time, period)
-            # MorphyBuffer._poll's conditions: only a level change leaves.
-            if (voltage >= high and level < top) or (voltage <= low and level > 0):
-                ledger.offered, ledger.stored = offered, stored
-                ledger.delivered, ledger.clipped = delivered, clipped
-                ledger.leaked, ledger.switching_loss = leaked, switching
-                buffer._next_poll_time = next_poll
-                buffer._poll()
-                switching = ledger.switching_loss
-                level = buffer.level
-                (
-                    groups,
-                    across,
-                    firsts,
-                    capacitance,
-                    chain_share,
-                    full,
-                    floor,
-                ) = _level_constants(buffer, level)
-                # repro-lint: disable=ledger-sum -- MorphyBuffer.output_voltage's own builtin sum, same order
-                voltage = sum(map(cell, firsts))
-
-        time += dt
-        steps += 1
-        if voltage < stop_below:
-            break
-        if voltage < drain_floor and not buffer.can_reach_voltage(drain_floor):
-            break
-    ledger.offered, ledger.stored = offered, stored
-    ledger.delivered, ledger.clipped = delivered, clipped
-    ledger.leaked, ledger.switching_loss = leaked, switching
-    buffer._next_poll_time = next_poll
-    return steps, time
 
 
 def _level_constants(buffer: MorphyBuffer, level: int) -> tuple:

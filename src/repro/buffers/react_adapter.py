@@ -6,9 +6,10 @@ static buffer: harvest, draw, housekeeping.  The adapter is also where
 REACT's measured overheads (per-bank quiescent power and the 10 Hz polling
 cost) are charged against the system.
 
-Its scalar fast paths run :func:`replay_segment`, one whole-segment replay
-of those three hooks on flat floats, bit-identical to the hook-based
-:meth:`~repro.buffers.base.EnergyBuffer.fast_forward` loops it replaces.
+Its scalar fast path, :meth:`~repro.buffers.base.EnergyBuffer.fast_forward`,
+runs :func:`replay_segment`, one whole-segment replay of those three hooks
+on flat floats, bit-identical to the hook loop
+(:meth:`~repro.buffers.base.EnergyBuffer.replay_hooks`) it replaces.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ def replay_segment(
 ) -> Tuple[int, float]:
     """Replay up to ``max_steps`` harvest → draw → housekeeping steps of REACT.
 
-    The whole-segment recurrence behind :meth:`ReactBuffer.fast_forward`
-    and :meth:`ReactBuffer.fast_forward_on`: it commits exactly the steps
-    :meth:`EnergyBuffer.fast_forward` / :meth:`EnergyBuffer.fast_forward_on`
+    REACT's fused replay (``ReactBuffer._replay``, the signature of
+    :meth:`EnergyBuffer._replay`), which
+    :meth:`EnergyBuffer.fast_forward` runs for both phases: it commits
+    exactly the steps the hook loop :meth:`EnergyBuffer.replay_hooks`
     would, with the same trajectory, ledgers and controller state, but runs
     them on flat floats (see :func:`_replay_run`) instead of through the
     object model.  Bounds are floats (``±inf`` for none); ``wake_energy``
@@ -604,6 +606,9 @@ class ReactBuffer(EnergyBuffer):
     #: subclass that changes any of them sets this False.
     batch_exact = True
 
+    #: The fused whole-segment replay (see :meth:`follows_recurrence`).
+    _replay = replay_segment
+
     def __init__(
         self,
         config: Optional[ReactConfig] = None,
@@ -736,94 +741,6 @@ class ReactBuffer(EnergyBuffer):
         voltage = self.hardware.output_voltage
         capacitance = self.hardware.last_level.capacitance
         return math.sqrt(voltage * voltage + 2.0 * energy / capacitance)
-
-    def fast_forward(
-        self,
-        delivered_power: float,
-        quiescent_current: float,
-        dt: float,
-        start_time: float,
-        max_steps: int,
-        stop_above: Optional[float] = None,
-        stop_below: Optional[float] = None,
-        drain_floor: Optional[float] = None,
-    ) -> Tuple[int, float]:
-        """Exact off-phase replay through :func:`replay_segment`.
-
-        Buffers whose hooks are not that recurrence
-        (:meth:`follows_recurrence` is False) take the hook-based
-        :meth:`EnergyBuffer.fast_forward`.
-        """
-        if not self.follows_recurrence():
-            return super().fast_forward(
-                delivered_power,
-                quiescent_current,
-                dt,
-                start_time,
-                max_steps,
-                stop_above,
-                stop_below,
-                drain_floor,
-            )
-        return replay_segment(
-            self,
-            delivered_power * dt,
-            quiescent_current,
-            dt,
-            start_time,
-            max_steps,
-            False,
-            _INF if stop_above is None else stop_above,
-            -_INF if stop_below is None else stop_below,
-            -_INF,
-            -_INF if drain_floor is None else drain_floor,
-            None,
-        )
-
-    def fast_forward_on(
-        self,
-        delivered_power: float,
-        load_current: float,
-        dt: float,
-        start_time: float,
-        max_steps: int,
-        stop_above: Optional[float] = None,
-        stop_below: Optional[float] = None,
-        brownout_floor: Optional[float] = None,
-        wake_energy: Optional[float] = None,
-    ) -> Tuple[int, float]:
-        """Exact on-phase replay through :func:`replay_segment`.
-
-        Buffers whose hooks are not that recurrence
-        (:meth:`follows_recurrence` is False) take the hook-based
-        :meth:`EnergyBuffer.fast_forward_on`.
-        """
-        if not self.follows_recurrence():
-            return super().fast_forward_on(
-                delivered_power,
-                load_current,
-                dt,
-                start_time,
-                max_steps,
-                stop_above,
-                stop_below,
-                brownout_floor,
-                wake_energy,
-            )
-        return replay_segment(
-            self,
-            delivered_power * dt,
-            load_current,
-            dt,
-            start_time,
-            max_steps,
-            True,
-            _INF if stop_above is None else stop_above,
-            -_INF if stop_below is None else stop_below,
-            -_INF if brownout_floor is None else brownout_floor,
-            -_INF,
-            wake_energy,
-        )
 
     # -- energy flow ----------------------------------------------------------------
 

@@ -56,10 +56,11 @@ def replay_lane(
     """Replay up to ``max_steps`` harvest → draw → leak steps of one capacitor.
 
     The one copy of the static buffer's whole-segment recurrence: the
-    scalar fast paths (:meth:`StaticBuffer.fast_forward`,
-    :meth:`StaticBuffer.fast_forward_on`) and the batch kernel's per-lane
-    replay (:meth:`StaticBatchKernel._replay`) all run through it.  Each
-    step reproduces :meth:`~repro.capacitors.capacitor.Capacitor.charge_with_energy`,
+    scalar fast path (:meth:`StaticBuffer._replay`, behind
+    :meth:`~repro.buffers.base.EnergyBuffer.fast_forward`) and the batch
+    kernel's per-lane replay (:meth:`StaticBatchKernel._replay`) both run
+    through it.  Each step reproduces
+    :meth:`~repro.capacitors.capacitor.Capacitor.charge_with_energy`,
     :meth:`~repro.capacitors.capacitor.Capacitor.discharge_current` (no
     floor) and :meth:`~repro.capacitors.capacitor.Capacitor.apply_leakage`
     under a proportional leakage model expression for expression, on
@@ -118,6 +119,8 @@ def replay_lane(
             before = energy
             energy = 0.5 * capacitance * voltage * voltage
             leaked += before - energy
+        else:
+            leaked += 0.0  # apply_leakage's addend on an empty capacitor
         time += dt
         steps += 1
         if voltage < stop_below:
@@ -232,20 +235,31 @@ class StaticBuffer(EnergyBuffer):
 
     # -- multi-system batching -------------------------------------------------------
 
-    def batch_key(self) -> Optional[str]:
-        """``"static"`` when this buffer's dynamics vectorize exactly.
+    def follows_recurrence(self) -> bool:
+        """Whether this buffer's steps are :func:`replay_lane`'s recurrence.
 
         Requires the class to vouch for its hooks (:attr:`batch_exact`) and
         the leakage model to be one the capacitor layer can stack into
-        closed-form arrays.  All static lanes share one key — the
-        :class:`StaticBatchKernel` handles heterogeneous capacitances and
-        leakage parameters per lane.
+        closed-form arrays.  Both the lockstep kernel (:meth:`batch_key`)
+        and the scalar fused replay (:meth:`_replay`) require it.
         """
-        if self.batch_exact and proportional_leakage(self._capacitor.leakage):
+        return (
+            self.batch_exact
+            and proportional_leakage(self._capacitor.leakage) is not None
+        )
+
+    def batch_key(self) -> Optional[str]:
+        """``"static"`` when this buffer's dynamics vectorize exactly.
+
+        Requires :meth:`follows_recurrence`.  All static lanes share one
+        key — the :class:`StaticBatchKernel` handles heterogeneous
+        capacitances and leakage parameters per lane.
+        """
+        if self.follows_recurrence():
             return "static"
         return None
 
-    # -- off-phase fast forwarding ---------------------------------------------------
+    # -- fast forwarding ---------------------------------------------------------------
 
     def post_harvest_voltage_bound(self, energy: float) -> float:
         """Exact post-harvest voltage: all harvested energy lands on the cap."""
@@ -255,100 +269,46 @@ class StaticBuffer(EnergyBuffer):
         new_energy = min(self._capacitor.energy + energy, self._capacitor.max_energy)
         return math.sqrt(2.0 * new_energy / capacitance)
 
-    def fast_forward(
+    def _replay(
         self,
-        delivered_power: float,
-        quiescent_current: float,
-        dt: float,
-        start_time: float,
-        max_steps: int,
-        stop_above: Optional[float] = None,
-        stop_below: Optional[float] = None,
-        drain_floor: Optional[float] = None,
-    ) -> Tuple[int, float]:
-        """Exact off-phase replay through :func:`replay_lane`.
+        energy,
+        load,
+        dt,
+        time,
+        max_steps,
+        system_on,
+        stop_above,
+        stop_below,
+        brownout_floor,
+        drain_floor,
+        wake_energy,
+    ):
+        """:func:`replay_lane` on this capacitor (see :meth:`EnergyBuffer._replay`).
 
-        A single static capacitor has no controllers to poll, so the whole
-        off interval reduces to the inlined harvest → draw → leak
-        recurrence.  Buffers whose hooks are not that recurrence
-        (:meth:`batch_key` is None) take the hook-based
-        :meth:`EnergyBuffer.fast_forward` instead.
+        A single static capacitor has no controllers to poll, so a whole
+        segment reduces to the inlined harvest → draw → leak recurrence
+        under the constant load plus this buffer's overhead.  A pending
+        longevity request without a wake voltage (``wake_energy``) takes
+        the hook loop, :meth:`EnergyBuffer.replay_hooks`, with every
+        vacuous bound back to None.  The step path adds the same addends
+        to the buffer ledger and the capacitor ledger, so the buffer's
+        running totals seed the replay and its end totals are written to
+        both.
         """
-        if self.batch_key() is None:
-            return super().fast_forward(
-                delivered_power,
-                quiescent_current,
+        if wake_energy is not None:
+            return self.replay_hooks(
+                energy,
+                load,
                 dt,
-                start_time,
+                time,
                 max_steps,
-                stop_above,
-                stop_below,
-                drain_floor,
-            )
-        return self._replay(
-            delivered_power * dt,
-            quiescent_current + self.overhead_current(False),
-            dt,
-            start_time,
-            max_steps,
-            stop_above,
-            stop_below,
-            None,
-            drain_floor,
-        )
-
-    def fast_forward_on(
-        self,
-        delivered_power: float,
-        load_current: float,
-        dt: float,
-        start_time: float,
-        max_steps: int,
-        stop_above: Optional[float] = None,
-        stop_below: Optional[float] = None,
-        brownout_floor: Optional[float] = None,
-        wake_energy: Optional[float] = None,
-    ) -> Tuple[int, float]:
-        """Exact on-phase replay through :func:`replay_lane`.
-
-        The load is the workload's constant demand plus this buffer's
-        on-overhead, and the brown-out floor is checked at each step start
-        (see :meth:`EnergyBuffer.fast_forward_on`).  A pending longevity
-        request without a wake voltage (``wake_energy``) and buffers whose
-        hooks are not the inlined recurrence take the hook-based
-        :meth:`EnergyBuffer.fast_forward_on` instead.
-        """
-        if wake_energy is not None or self.batch_key() is None:
-            return super().fast_forward_on(
-                delivered_power,
-                load_current,
-                dt,
-                start_time,
-                max_steps,
-                stop_above,
-                stop_below,
-                brownout_floor,
+                system_on,
+                None if stop_above == _INF else stop_above,
+                None if stop_below == -_INF else stop_below,
+                None if brownout_floor == -_INF else brownout_floor,
+                None if drain_floor == -_INF else drain_floor,
                 wake_energy,
             )
-        return self._replay(
-            delivered_power * dt,
-            load_current + self.overhead_current(True),
-            dt,
-            start_time,
-            max_steps,
-            stop_above,
-            stop_below,
-            brownout_floor,
-            None,
-        )
-
-    def _replay(self, energy_in, load, dt, time, budget, above, below, floor, drain):
-        """:func:`replay_lane` on this capacitor, with None bounds as ``±inf``.
-
-        The step path adds the same addends to the buffer ledger and the
-        capacitor ledger, so the buffer's running totals seed the replay
-        and its end totals are written to both.
-        """
         cap = self._capacitor
         leak_current, leak_voltage = proportional_leakage(cap.leakage)
         ledger = self.ledger
@@ -358,15 +318,15 @@ class StaticBuffer(EnergyBuffer):
             cap.max_energy,
             leak_current,
             leak_voltage,
-            energy_in,
-            load,
+            energy,
+            load + self.overhead_current(system_on),
             dt,
             time,
-            budget,
-            _INF if above is None else above,
-            -_INF if below is None else below,
-            -_INF if floor is None else floor,
-            -_INF if drain is None else drain,
+            max_steps,
+            stop_above,
+            stop_below,
+            brownout_floor,
+            drain_floor,
             (
                 ledger.offered,
                 ledger.stored,
@@ -375,10 +335,19 @@ class StaticBuffer(EnergyBuffer):
                 ledger.leaked,
             ),
         )
-        ledger.offered, ledger.stored, ledger.clipped = totals[:3]
-        ledger.delivered, ledger.leaked = totals[3:]
-        cap.ledger.absorbed, cap.ledger.clipped = totals[1:3]
-        cap.ledger.delivered, cap.ledger.leaked = totals[3:]
+        offered, stored, clipped, delivered, leaked = totals
+        if energy > 0.0:
+            cap.ledger.absorbed, cap.ledger.clipped = stored, clipped
+        elif steps:
+            # harvest() of no energy adds zeros to the buffer's ledger and
+            # none to the capacitor's.  Adding a zero twice equals adding it
+            # once, so one add stands for the whole segment.
+            offered += energy
+            stored += 0.0
+            clipped += energy
+        ledger.offered, ledger.stored, ledger.clipped = offered, stored, clipped
+        ledger.delivered = cap.ledger.delivered = delivered
+        ledger.leaked = cap.ledger.leaked = leaked
         return steps, time
 
     # -- lifecycle ----------------------------------------------------------------------

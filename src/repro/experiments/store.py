@@ -221,23 +221,14 @@ def spec_fingerprint(spec: "RunSpec") -> str:
     )
 
 
+@lru_cache(maxsize=1)
 def code_version_salt() -> str:
     """A digest of the installed ``repro`` source tree.
 
     Folded into every cache key, so any code change — engine, buffers,
     workloads, anything importable from :mod:`repro` — invalidates the
-    store wholesale.  The ``REPRO_CACHE_SALT`` environment variable
-    overrides the computed digest (useful for pinning a store across
-    checkouts, or for experiments that deliberately keep entries live).
+    store wholesale.  ``ResultStore(salt=...)`` is the one override.
     """
-    override = os.environ.get("REPRO_CACHE_SALT")
-    if override:
-        return override
-    return _source_tree_salt()
-
-
-@lru_cache(maxsize=1)
-def _source_tree_salt() -> str:
     import repro
 
     root = Path(repro.__file__).resolve().parent

@@ -40,13 +40,15 @@ piecewise-constant (the trace is zero-order-hold and the regulator's
 efficiency is piecewise-constant in the buffer voltage).  Instead of
 dispatching the full per-step machinery at ``dt_off``, the engine
 fast-forwards whole constant-power intervals through
-:meth:`~repro.buffers.base.EnergyBuffer.fast_forward`, stopping at trace
-sample boundaries, predicted enable-threshold crossings, regulator
-efficiency breakpoints, pending recorder sample points, and the drain
-termination test.  Buffer implementations replay exactly the per-step
-update rule of the step-by-step path, ledger additions included (statics
-in one inlined loop, :func:`~repro.buffers.static.replay_lane`, the
-adaptive designs through a conservative generic fallback), so results —
+:meth:`~repro.buffers.base.EnergyBuffer.fast_forward` (``system_on=False``),
+stopping at trace sample boundaries, predicted enable-threshold crossings,
+regulator efficiency breakpoints, pending recorder sample points, and the
+drain termination test.  Buffer implementations replay exactly the
+per-step update rule of the step-by-step path, ledger additions included
+(the paper's buffers in one fused loop each — statics in
+:func:`~repro.buffers.static.replay_lane`, Morphy and REACT in their
+``replay_segment`` — every other buffer through the generic hook loop,
+:meth:`~repro.buffers.base.EnergyBuffer.replay_hooks`), so results —
 energy ledgers too — equal the step-by-step engine's exactly; pass
 ``fast_forward=False`` to force pure step-by-step execution.
 
@@ -56,17 +58,17 @@ On-phase fast path (workload quiescence)
 Most *on* steps are quiescent too: the workload is parked in (deep) sleep
 waiting for a timer, an event, or a longevity reserve, or is in the middle
 of an atomic radio burst, and its power demand — hence the whole platform
-load — is constant.  Workloads declare
-such stretches through the quiescence protocol
-(:meth:`~repro.workloads.base.Workload.quiescent_until` returning a
-:class:`~repro.workloads.base.QuiescenceHint`), and the engine
-fast-forwards them through
-:meth:`~repro.buffers.base.EnergyBuffer.fast_forward_on`: whole
-constant-demand segments bounded by the hint's expiry (the next deadline,
-packet, or sensor reading, or the step that completes a burst), its wake voltage (or a conservative
-usable-energy guard for a pending longevity request), trace sample
-boundaries, regulator efficiency breakpoints, the gate's brown-out floor,
-and pending recorder sample points.  Per-mode MCU time is accumulated with
+load — is constant.  Workloads declare such stretches through the
+quiescence protocol (:meth:`~repro.workloads.base.Workload.quiescent_until`
+returning a :class:`~repro.workloads.base.QuiescenceHint`), and the engine
+fast-forwards them through the same
+:meth:`~repro.buffers.base.EnergyBuffer.fast_forward` (``system_on=True``):
+whole constant-demand segments bounded by the hint's expiry (the next
+deadline, packet, or sensor reading, or the step that completes a burst),
+its wake voltage (or a conservative usable-energy guard for a pending
+longevity request), trace sample boundaries, regulator efficiency
+breakpoints, the gate's brown-out floor, and pending recorder sample
+points.  Per-mode MCU time is accumulated with
 the same additive per-step arithmetic as stepped execution (so ``on_time``
 and ``active_time`` stay bit-identical), and the workload accounts for the
 skipped window once through
@@ -317,6 +319,7 @@ class Simulator:
             dt,
             time,
             plan.steps,
+            system_on=False,
             stop_above=plan.stop_above,
             stop_below=plan.stop_below,
             drain_floor=plan.drain_floor,
@@ -339,10 +342,11 @@ class Simulator:
         workload's :class:`~repro.workloads.base.QuiescenceHint` promises a
         constant ``demand``, so the per-step work reduces to the buffer's
         harvest/draw/housekeeping recurrence under a constant load, which
-        :meth:`~repro.buffers.base.EnergyBuffer.fast_forward_on` replays
-        without the engine's per-step dispatch.  Returns ``(steps_consumed,
-        new_time)``; zero steps means an event/wake/boundary is imminent
-        and the engine must take a normal step.
+        :meth:`~repro.buffers.base.EnergyBuffer.fast_forward` replays
+        (``system_on=True``) without the engine's per-step dispatch.
+        Returns ``(steps_consumed, new_time)``; zero steps means an
+        event/wake/boundary is imminent and the engine must take a normal
+        step.
         """
         system = self.system
         frontend, buffer, gate = system.frontend, system.buffer, system.gate
@@ -370,12 +374,13 @@ class Simulator:
         load_current = (
             mode_current + demand.peripheral_current + gate.quiescent_current
         )
-        consumed, end_time = buffer.fast_forward_on(
+        consumed, end_time = buffer.fast_forward(
             delivered,
             load_current,
             dt,
             time,
             plan.steps,
+            system_on=True,
             stop_above=plan.stop_above,
             stop_below=plan.stop_below,
             brownout_floor=gate.brownout_voltage,

@@ -9,6 +9,7 @@ harvest/draw/housekeeping sequences against each implementation.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.buffers.base import EnergyBuffer
 from repro.buffers.capybara import CapybaraBuffer
 from repro.buffers.dewdrop import DewdropBuffer
 from repro.buffers.morphy import MorphyBuffer
@@ -110,3 +111,30 @@ def test_longevity_api_contract(kind):
     assert buffer.longevity_satisfied()
     with pytest.raises(ValueError):
         buffer.request_longevity(-1.0)
+
+
+#: Which buffers run a fused whole-segment replay; the rest run the hook loop.
+FUSED = {
+    "static": True,
+    "morphy": True,
+    "react": True,
+    "capybara": False,
+    "dewdrop": True,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUFFER_FACTORIES))
+def test_one_scalar_replay_entry_point(kind):
+    """``fast_forward`` is the one scalar entry point and ``replay_hooks``
+    the one hook loop; a buffer brings only its own ``_replay``."""
+    buffer = BUFFER_FACTORIES[kind]()
+    overrides = {
+        name
+        for cls in type(buffer).__mro__
+        if cls is not EnergyBuffer
+        for name in ("fast_forward", "fast_forward_on", "replay_hooks")
+        if name in vars(cls)
+    }
+    assert overrides == set()
+    assert buffer.follows_recurrence() is FUSED[kind]
+    assert (type(buffer)._replay is not EnergyBuffer._replay) is FUSED[kind]

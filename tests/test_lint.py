@@ -1,10 +1,10 @@
 """The invariant linter (``repro.analysis.lint``).
 
 Every rule gets a known-bad fixture (the violation is reported) and a
-known-good one (the idiomatic spelling passes); the pragma and baseline
-escape hatches are exercised end-to-end; and the tree self-hosts — the
-last test runs the real CLI over the installed package with the committed
-baseline, which is exactly the blocking CI job.
+known-good one (the idiomatic spelling passes); the pragma escape hatch is
+exercised end-to-end; and the tree self-hosts — the last test runs the
+real CLI over the installed package, which is exactly the blocking CI
+job.
 """
 
 import json
@@ -14,8 +14,6 @@ import pytest
 
 from repro.analysis.lint import (
     ALL_RULES,
-    Baseline,
-    BaselineEntry,
     SourceFile,
     lint_sources,
     rule_by_id,
@@ -452,58 +450,6 @@ class TestPragmas:
 
 
 # ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-
-
-class TestBaseline:
-    def _findings(self):
-        return run_rule(
-            "sqrt-parity", "repro/buffers/thing.py", "y = x ** 0.5\n"
-        ).findings
-
-    def test_round_trip_suppresses_grandfathered_findings(self, tmp_path):
-        findings = self._findings()
-        path = tmp_path / "lint-baseline.json"
-        Baseline.from_findings(findings, "grandfathered in the fixture").save(path)
-        loaded = Baseline.load(path)
-        survivors, suppressed, unmatched = loaded.apply(findings)
-        assert survivors == []
-        assert suppressed == 1
-        assert unmatched == []
-
-    def test_stale_entries_are_reported(self):
-        baseline = Baseline(
-            [BaselineEntry("sqrt-parity", "repro/gone.py", "y = x ** 0.5", "was fixed")]
-        )
-        survivors, suppressed, unmatched = baseline.apply([])
-        assert survivors == [] and suppressed == 0
-        assert [entry.path for entry in unmatched] == ["repro/gone.py"]
-
-    def test_matching_is_consume_once(self):
-        findings = self._findings() * 2  # two identical violations, one entry
-        baseline = Baseline.from_findings(findings[:1], "covers exactly one copy")
-        survivors, suppressed, _ = baseline.apply(findings)
-        assert suppressed == 1
-        assert len(survivors) == 1
-
-    def test_entries_must_carry_justification(self, tmp_path):
-        path = tmp_path / "lint-baseline.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": [
-                        {"rule": "sqrt-parity", "path": "a.py", "line_text": "x"}
-                    ],
-                }
-            )
-        )
-        with pytest.raises(ValueError, match="justification"):
-            Baseline.load(path)
-
-
-# ----------------------------------------------------------------------
 # Reports
 # ----------------------------------------------------------------------
 
@@ -562,44 +508,15 @@ class TestCli:
     def test_findings_exit_nonzero_and_write_json_report(self, tmp_path, capsys):
         bad = _bad_package_file(tmp_path)
         report = tmp_path / "report.json"
-        code = lint_main([str(bad), "--json-report", str(report), "--no-baseline"])
+        code = lint_main([str(bad), "--json-report", str(report)])
         assert code == 1
         payload = json.loads(report.read_text())
         assert payload["counts_by_rule"] == {"sqrt-parity": 1}
-
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        bad = _bad_package_file(tmp_path)
-        baseline = tmp_path / "lint-baseline.json"
-        assert (
-            lint_main(
-                [
-                    str(bad),
-                    "--baseline",
-                    str(baseline),
-                    "--write-baseline",
-                    "fixture grandfathering",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert lint_main([str(bad), "--baseline", str(baseline)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_stale_baseline_fails_the_run(self, tmp_path, capsys):
-        clean = tmp_path / "module.py"
-        clean.write_text("import math\ny = math.sqrt(x)\n")
-        baseline = tmp_path / "lint-baseline.json"
-        Baseline(
-            [BaselineEntry("sqrt-parity", "module.py", "y = x ** 0.5", "since fixed")]
-        ).save(baseline)
-        assert lint_main([str(clean), "--baseline", str(baseline)]) == 1
-        assert "stale entry" in capsys.readouterr().out
 
 
 class TestSelfHosting:
     def test_tree_passes_its_own_linter(self, capsys):
         """The blocking CI contract: the installed package lints clean
-        against the committed baseline (justified pragmas included)."""
+        (justified pragmas included)."""
         assert lint_main([]) == 0
         assert "clean:" in capsys.readouterr().out

@@ -6,7 +6,6 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.buffers.morphy as morphy
 from repro.buffers.base import EnergyBuffer
 from repro.buffers.morphy import (
     MorphyBuffer,
@@ -365,12 +364,11 @@ def replay_both(buffer, on, *args, **bounds):
     Returns the fused run's ``(steps, end_time)``.
     """
     reference = copy.deepcopy(buffer)
-    if on:
-        fused = buffer.fast_forward_on(*args, **bounds)
-        generic = EnergyBuffer.fast_forward_on(reference, *args, **bounds)
-    else:
-        fused = buffer.fast_forward(*args, **bounds)
-        generic = EnergyBuffer.fast_forward(reference, *args, **bounds)
+    power, load, dt, *rest = args
+    fused = buffer.fast_forward(*args, on, **bounds)
+    generic = EnergyBuffer.replay_hooks(
+        reference, power * dt, load, dt, *rest, on, **bounds
+    )
     assert repr(fused) == repr(generic)
     assert repr(morphy_state(buffer)) == repr(morphy_state(reference))
     return fused
@@ -429,7 +427,7 @@ def replay_cases(draw):
 
 
 class TestFusedReplay:
-    """``MorphyBuffer.fast_forward[_on]`` is the generic hook loop, bit for bit."""
+    """Morphy's ``fast_forward`` is the generic hook loop, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=replay_cases())
@@ -517,7 +515,7 @@ class TestFusedReplay:
         def fused(*args):
             raise AssertionError("the fused replay ran")
 
-        monkeypatch.setattr(morphy, "replay_segment", fused)
+        monkeypatch.setattr(MorphyBuffer, "_replay", fused)
         buffer = fresh_buffer()
         buffer.set_state(3, [0.75] * 8)
         steps, _ = replay_both(buffer, on, 5e-3, 1e-3, 0.01, 0.0, 100)

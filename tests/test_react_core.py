@@ -359,13 +359,12 @@ def replay_both(buffer, on, *args, **bounds):
     if watched:
         buffer._poll = lambda time: poll_handed_off(buffer, time)
         buffer.hardware.usable_energy = no_usable_energy
+    power, load, dt, *rest = args
     try:
-        if on:
-            fused = buffer.fast_forward_on(*args, **bounds)
-            generic = EnergyBuffer.fast_forward_on(reference, *args, **bounds)
-        else:
-            fused = buffer.fast_forward(*args, **bounds)
-            generic = EnergyBuffer.fast_forward(reference, *args, **bounds)
+        fused = buffer.fast_forward(*args, on, **bounds)
+        generic = EnergyBuffer.replay_hooks(
+            reference, power * dt, load, dt, *rest, on, **bounds
+        )
     finally:
         if watched:
             del buffer._poll
@@ -447,7 +446,7 @@ def replay_cases(draw):
 
 
 class TestFusedReplay:
-    """``ReactBuffer.fast_forward[_on]`` is the generic hook loop, bit for bit."""
+    """REACT's ``fast_forward`` is the generic hook loop, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=replay_cases())
@@ -549,7 +548,7 @@ class TestFusedReplay:
         def fused(*args):
             raise AssertionError("the fused replay ran")
 
-        monkeypatch.setattr(react_adapter, "replay_segment", fused)
+        monkeypatch.setattr(ReactBuffer, "_replay", fused)
         steps, _ = replay_both(buffer, on, 5e-3, 1e-3, 0.01, 0.0, 100)
         assert steps == 100
 
@@ -609,8 +608,8 @@ class TestReplayHandOffs:
             """The paper grid's REACT buffer, counting its poll hand-offs."""
 
             _poll = poll
+            _replay = segment
 
-        monkeypatch.setattr(react_adapter, "replay_segment", segment)
         monkeypatch.setattr(react_adapter, "_replay_run", run)
         monkeypatch.setattr(ReactHardware, "usable_energy", usable_energy)
         results = sweep(

@@ -239,6 +239,15 @@ class TestResultStore:
         assert new.load(spec) is None
         assert old.load(spec) is not None
 
+    def test_key_ignores_the_environment(self, tmp_path, monkeypatch):
+        """``salt=`` is the one override: no variable keeps entries live."""
+        spec = make_spec()
+        default = ResultStore(tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_SALT", "pinned")
+        under_variable = ResultStore(tmp_path)
+        assert under_variable.salt == default.salt != "pinned"
+        assert under_variable.key_for(spec) == default.key_for(spec)
+
     def test_corrupted_entry_is_a_miss_not_a_crash(self, tmp_path):
         store = ResultStore(tmp_path, salt="s")
         spec = make_spec()
