@@ -15,10 +15,9 @@ backend must return the same results in the same order as the serial
 backend, and the fast-path engine must agree with the step-by-step engine,
 all exactly (``tests/oracle.py``).  (Timing ratios depend on the host's
 core count — on a single-core CI runner the worker pools cannot win — so
-all pool ratios are recorded, not asserted; the static batch sweep keeps
-a pathological-regression floor, the REACT and Morphy batch sweeps pin
-their exact lockstep work, and the mixed grid pins its exact scalar replay
-work.)
+all pool ratios are recorded, not asserted; the static, REACT and Morphy
+batch sweeps pin their exact lockstep work, and the mixed grid pins its
+exact scalar replay work.)
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from repro.buffers.morphy import MorphyBuffer
 from repro.buffers.morphy_batch import MorphyBatchKernel
 from repro.buffers.react_adapter import ReactBuffer
 from repro.buffers.react_batch import ReactBatchKernel
-from repro.buffers.static import StaticBuffer
+from repro.buffers.static import StaticBatchKernel, StaticBuffer
 from repro.experiments.backends import (
     BatchBackend,
     PoolBatchBackend,
@@ -244,7 +243,22 @@ def test_bench_mixed_grid_react_heavy_sweep(benchmark, bench_settings, monkeypat
     assert work == MIXED_GRID_FAST_FORWARDS
 
 
-def test_bench_batched_capacitance_sweep(benchmark, bench_settings):
+#: The deterministic work of the batched capacitance sweep's two 128-lane
+#: columns (see :func:`count_kernel_work`).  Each count moves if the
+#: columns stop reaching the kernel (a static floor above 128 lanes), stop
+#: replaying whole segments (``fast_forward=False``) or stop handing their
+#: last lanes to the scalar engine (a lane floor of 1).
+STATIC_BATCHED_WORK = {
+    "lockstep_steps": 1620,
+    "on_replays": 1589,
+    "on_lane_steps": 2_826_619,
+    "off_replays": 1278,
+    "off_lane_steps": 277_544,
+    "hand_offs": 78,
+}
+
+
+def test_bench_batched_capacitance_sweep(benchmark, bench_settings, monkeypatch):
     """Batched lockstep sweep vs the serial engine on trace-sharing cells.
 
     Every (size × workload) cell of a capacitance sweep shares its trace, so
@@ -252,22 +266,18 @@ def test_bench_batched_capacitance_sweep(benchmark, bench_settings):
     simulation, and the ``pool+batch`` backend splits those lanes into
     per-worker shards that batch inside the pool.  Correctness gates the
     test — both grids must agree with the serial grid exactly on every
-    field.
-
-    On throughput this shape is the batch engine's hardest case — serial
-    skips whole quiescent on-segments of a static lane through an inlined
-    float loop — but since the shared segment planner
-    (:mod:`repro.sim.segments`) taught the batch engine the same trick
-    (per-lane whole-segment replay through
-    :meth:`~repro.buffers.static.StaticBatchKernel.fast_forward`, with the
-    lockstep loop skipped outright when every lane fast-forwards), batch
-    dominates serial here too.  That dominance is the assertion: the
-    batched sweep must run at least as fast as the serial sweep
-    (``speedup >= 1.0``).  ``batch_segment_skip_speedup`` records what the
-    segment replay itself buys (batched with fast-forwarding disabled vs
-    enabled), and the ``pool+batch`` throughput is recorded alongside
-    (pool ratios depend on the runner's core count, so it carries no
-    assertion).
+    field — and so does the batched run's deterministic work, pinned
+    exactly in :data:`STATIC_BATCHED_WORK`: per-lane whole-segment replay
+    through :meth:`~repro.buffers.static.StaticBatchKernel.fast_forward`,
+    with the lockstep loop skipped outright when every lane
+    fast-forwards.  The batched speedup over serial is recorded, not
+    asserted: on this shape the two engines sit within the host's
+    run-to-run noise of each other, and a single-sample wall-clock ratio
+    is a measurement, not an invariant.  ``batch_segment_skip_speedup``
+    records what the segment replay itself buys (batched with
+    fast-forwarding disabled vs enabled), and the ``pool+batch``
+    throughput is recorded alongside (pool ratios depend on the runner's
+    core count).
     """
     serial_runner = ExperimentRunner(
         bench_settings, buffer_factory=capacitance_sweep_buffers
@@ -284,6 +294,7 @@ def test_bench_batched_capacitance_sweep(benchmark, bench_settings):
     )
     serial_seconds = time.perf_counter() - started
 
+    work = count_kernel_work(monkeypatch, StaticBatchKernel)
     started = time.perf_counter()
     batched = run_once(
         benchmark,
@@ -292,6 +303,7 @@ def test_bench_batched_capacitance_sweep(benchmark, bench_settings):
         trace_names=BATCH_SWEEP_TRACES,
     )
     batched_seconds = time.perf_counter() - started
+    work = dict(work)
 
     started = time.perf_counter()
     pool_batch = sweep(
@@ -337,12 +349,9 @@ def test_bench_batched_capacitance_sweep(benchmark, bench_settings):
     benchmark.extra_info["batch_segment_skip_speedup"] = round(
         step_batched_seconds / batched_seconds, 3
     )
+    benchmark.extra_info["work"] = work
     record_sweep_metrics("batched_capacitance_sweep", benchmark.extra_info)
-    assert speedup >= 1.0, (
-        f"batched sweep fell behind serial throughput ({speedup:.2f}x); "
-        f"batch >= serial dominance is the shared segment planner's claim "
-        f"on its hardest (all-static, hint-heavy) shape"
-    )
+    assert work == STATIC_BATCHED_WORK
 
 
 #: The deterministic work of the batched Morphy sweep's 48-lane column (see

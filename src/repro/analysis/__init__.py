@@ -1,11 +1,7 @@
 """Analysis helpers: table rendering, aggregation, and figures of merit."""
 
 from repro.analysis.formatting import format_table, format_matrix, percent
-from repro.analysis.aggregate import (
-    matrix_from_results,
-    mean_over_traces,
-    relative_improvement,
-)
+from repro.analysis.aggregate import matrix_from_results, mean_over_traces
 
 __all__ = [
     "format_table",
@@ -13,5 +9,4 @@ __all__ = [
     "percent",
     "matrix_from_results",
     "mean_over_traces",
-    "relative_improvement",
 ]

@@ -44,14 +44,3 @@ def mean_over_traces(matrix: Mapping[str, Mapping[str, float]]) -> Dict[str, flo
             sums[buffer_name] = sums.get(buffer_name, 0.0) + value
             counts[buffer_name] = counts.get(buffer_name, 0) + 1
     return {name: sums[name] / counts[name] for name in sums}
-
-
-def relative_improvement(
-    means: Mapping[str, float], subject: str, baseline: str
-) -> float:
-    """Relative improvement of ``subject`` over ``baseline`` (0.256 = +25.6 %)."""
-    if baseline not in means or subject not in means:
-        raise KeyError(f"need both {subject!r} and {baseline!r} in {sorted(means)}")
-    if means[baseline] == 0.0:
-        return float("inf") if means[subject] > 0.0 else 0.0
-    return means[subject] / means[baseline] - 1.0

@@ -45,13 +45,6 @@ class BufferLedger:
             "switching_loss": self.switching_loss,
         }
 
-    @property
-    def capture_efficiency(self) -> float:
-        """Fraction of offered energy that was stored rather than clipped."""
-        if self.offered <= 0.0:
-            return 1.0
-        return self.stored / self.offered
-
 
 class LockstepKernel:
     """Shared contract and segment replay of the batch lockstep kernels.
@@ -95,12 +88,13 @@ class LockstepKernel:
     loop, a fast-forwarded lane's trajectory and ledger are bit-identical
     to stepping it normally; the speedup comes from collapsing whole
     segments of the batch engine's per-iteration Python dispatch (workload
-    hint checks, gating, retirement scans) into this tight loop.  The stop
-    checks are exact wherever :meth:`_post_harvest_voltage` is exact
-    (statics/Dewdrop override it with the closed-form post-harvest voltage)
-    and conservative otherwise (Morphy inherits the upper *bound*, so its
-    lanes may stop a step early and resume under normal stepping — never
-    skipping past a transition).
+    hint checks, gating, retirement scans) into this tight loop.  The
+    pre-commit ``stop_above`` check reads the kernel's
+    ``post_harvest_voltage_bound``, an upper bound, so a lane may stop a
+    step early and resume under normal stepping — never skipping past a
+    transition.  The static kernel does not use this replay: it overrides
+    ``fast_forward``/``fast_forward_on`` with one
+    :func:`~repro.buffers.static.replay_lane` call per lane.
     """
 
     #: Replay economics hint for the batch engine: when True, only plans
@@ -127,16 +121,6 @@ class LockstepKernel:
         this too (REACT's tracks live buffer state).
         """
         return 0.0
-
-    def _post_harvest_voltage(self, energy: np.ndarray) -> np.ndarray:
-        """Per-lane post-harvest output voltage, or an upper bound on it.
-
-        Used for the pre-commit ``stop_above`` check.  The default is the
-        kernel's :meth:`post_harvest_voltage_bound`; kernels whose exact
-        post-harvest voltage has a closed form override this so the check
-        matches the gate's observation point bit for bit.
-        """
-        return self.post_harvest_voltage_bound(energy)
 
     def fast_forward(self, energy_in, load, dt, times, plan):
         """Advance off-phase lanes through whole-segment replay.
@@ -166,7 +150,7 @@ class LockstepKernel:
             stepping &= self.voltage < stop_above
             if harvesting and stepping.any():
                 energy = np.where(stepping, energy_in, 0.0)
-                stepping &= self._post_harvest_voltage(energy) < stop_above
+                stepping &= self.post_harvest_voltage_bound(energy) < stop_above
             if not stepping.any():
                 break
             if harvesting:
@@ -213,7 +197,7 @@ class LockstepKernel:
             stepping &= voltage < stop_above
             if harvesting and stepping.any():
                 energy = np.where(stepping, energy_in, 0.0)
-                stepping &= self._post_harvest_voltage(energy) < stop_above
+                stepping &= self.post_harvest_voltage_bound(energy) < stop_above
             if not stepping.any():
                 break
             if harvesting:
@@ -258,11 +242,6 @@ class EnergyBuffer(ABC):
     @abstractmethod
     def capacitance(self) -> float:
         """Present equivalent capacitance seen at the buffer output (farads)."""
-
-    @property
-    @abstractmethod
-    def max_capacitance(self) -> float:
-        """Largest equivalent capacitance the buffer can be configured to."""
 
     def snapshot(self) -> Dict[str, float]:
         """Per-step telemetry for the recorder."""
@@ -324,25 +303,6 @@ class EnergyBuffer(ABC):
         return self.batch_key() is not None
 
     # -- whole-segment fast forwarding ------------------------------------------
-
-    def can_fast_forward(self) -> bool:
-        """Whether the simulator may replay whole segments through this buffer.
-
-        While the power gate is disconnected, or a workload has declared a
-        quiescent stretch, the simulator's per-step work reduces to
-        ``harvest`` / ``draw`` / ``housekeeping`` with a constant harvest
-        power (the trace is zero-order-hold) and a constant load.
-        :meth:`fast_forward` replays exactly that call sequence without the
-        engine's per-step dispatch, so it is exact by construction for any
-        buffer implemented through those three hooks.
-
-        Subclasses must override this to return False if their ``harvest``
-        can raise the output voltage beyond the
-        :meth:`post_harvest_voltage_bound` contract (e.g. by triggering a
-        reconfiguration), since the simulator relies on that bound to stop
-        fast-forwarding before the power gate would engage.
-        """
-        return True
 
     def post_harvest_voltage_bound(self, energy: float) -> float:
         """Upper bound on the output voltage right after absorbing ``energy``.

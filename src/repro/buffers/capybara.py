@@ -87,10 +87,6 @@ class CapybaraBuffer(EnergyBuffer):
     def capacitance(self) -> float:
         return self.base.capacitance
 
-    @property
-    def max_capacitance(self) -> float:
-        return self.base.capacitance + self.task.capacitance
-
     def usable_energy(self) -> float:
         floor = capacitor_energy(self.base.capacitance, self.brownout_voltage)
         base_usable = max(0.0, self.base.energy - floor)

@@ -522,10 +522,6 @@ class MorphyBuffer(EnergyBuffer):
     def capacitance(self) -> float:
         return self._level_capacitance[self.level]
 
-    @property
-    def max_capacitance(self) -> float:
-        return self.table.capacitance_range[1]
-
     def usable_energy(self) -> float:
         floor = capacitor_energy(self.capacitance, self.brownout_voltage)
         present = capacitor_energy(self.capacitance, self.output_voltage)

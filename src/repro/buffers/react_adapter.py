@@ -657,10 +657,6 @@ class ReactBuffer(EnergyBuffer):
         return self.hardware.equivalent_capacitance
 
     @property
-    def max_capacitance(self) -> float:
-        return self.config.maximum_capacitance
-
-    @property
     def capacitance_level(self) -> int:
         """Number of bank expansion steps currently applied."""
         return self.hardware.capacitance_level

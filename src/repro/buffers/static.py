@@ -204,10 +204,6 @@ class StaticBuffer(EnergyBuffer):
         return self._capacitor.capacitance
 
     @property
-    def max_capacitance(self) -> float:
-        return self._capacitor.capacitance
-
-    @property
     def max_voltage(self) -> float:
         """Overvoltage clamp of the buffer."""
         return self._capacitor.rated_voltage
@@ -420,25 +416,6 @@ class StaticBatchKernel(LockstepKernel):
         return np.where(
             energy > 0.0, np.sqrt(2.0 * new_energy / caps.capacitance), voltage
         )
-
-    def _post_harvest_voltage(self, energy: np.ndarray) -> np.ndarray:
-        """Exact post-harvest output voltage, making segment replay exact.
-
-        :meth:`~repro.capacitors.array.CapacitorArray.charge_with_energy`
-        stores ``C * sqrt(2 E / C)`` as the new charge and the gate then
-        observes ``charge / C``; evaluating that same round trip here (not
-        the bound's bare ``sqrt``, which can differ in the last ulp) makes
-        the fast-forward ``stop_above`` decision identical to the voltage
-        the lockstep gate check would see, so whole-segment replay commits
-        exactly the steps normal stepping would.
-        """
-        caps = self.caps
-        capacitance = caps.capacitance
-        voltage = caps.voltage
-        present = caps.energy(voltage)
-        new_energy = np.minimum(present + energy, caps.max_energy)
-        post_charge = capacitance * np.sqrt(2.0 * new_energy / capacitance)
-        return np.where(energy > 0.0, post_charge / capacitance, voltage)
 
     def harvest(self, energy: np.ndarray) -> None:
         """Vectorized :meth:`StaticBuffer.harvest` for one lockstep step."""

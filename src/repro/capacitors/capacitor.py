@@ -34,13 +34,6 @@ class EnergyLedger:
     clipped: float = 0.0
     leaked: float = 0.0
 
-    def merge(self, other: "EnergyLedger") -> None:
-        """Accumulate another ledger into this one."""
-        self.absorbed += other.absorbed
-        self.delivered += other.delivered
-        self.clipped += other.clipped
-        self.leaked += other.leaked
-
     def as_dict(self) -> dict:
         return {
             "absorbed": self.absorbed,
@@ -108,23 +101,9 @@ class Capacitor:
         return capacitor_energy(self.capacitance, self.voltage)
 
     @property
-    def max_charge(self) -> float:
-        """Charge at the rated voltage."""
-        return self.capacitance * self.rated_voltage
-
-    @property
     def max_energy(self) -> float:
         """Energy at the rated voltage."""
         return capacitor_energy(self.capacitance, self.rated_voltage)
-
-    @property
-    def headroom_energy(self) -> float:
-        """Additional energy the capacitor can absorb before clipping."""
-        return self.max_energy - self.energy
-
-    def is_full(self, margin: float = 1e-9) -> bool:
-        """True when the capacitor is at (or within ``margin`` volts of) rating."""
-        return self.voltage >= self.rated_voltage - margin
 
     # -- charge manipulation ------------------------------------------------
 
@@ -167,24 +146,6 @@ class Capacitor:
         self.ledger.clipped += clipped
         return stored
 
-    def charge_with_current(self, current: float, dt: float) -> float:
-        """Absorb charge from a current source for ``dt`` seconds.
-
-        Returns the energy actually stored.  Charge beyond the rated voltage
-        is clipped; the clipped energy is valued at the rated voltage, which
-        is what a shunt overvoltage-protection circuit dissipates.
-        """
-        if current < 0.0:
-            raise ValueError(f"current must be non-negative, got {current}")
-        before_energy = self.energy
-        new_charge = self._charge + current * dt
-        clipped_charge = max(0.0, new_charge - self.max_charge)
-        self._charge = min(new_charge, self.max_charge)
-        stored = self.energy - before_energy
-        self.ledger.absorbed += stored
-        self.ledger.clipped += clipped_charge * self.rated_voltage
-        return stored
-
     def discharge_current(
         self, current: float, dt: float, v_floor: float = 0.0
     ) -> float:
@@ -205,21 +166,6 @@ class Capacitor:
         self._charge = new_charge
         voltage = new_charge / capacitance
         delivered = before_energy - 0.5 * capacitance * voltage * voltage
-        self.ledger.delivered += delivered
-        return delivered
-
-    def discharge_energy(self, energy: float, v_floor: float = 0.0) -> float:
-        """Remove up to ``energy`` joules, not dropping below ``v_floor``.
-
-        Returns the energy actually delivered.
-        """
-        if energy < 0.0:
-            raise ValueError(f"energy must be non-negative, got {energy}")
-        floor_energy = capacitor_energy(self.capacitance, max(v_floor, 0.0))
-        available = max(0.0, self.energy - floor_energy)
-        delivered = min(energy, available)
-        new_energy = self.energy - delivered
-        self._charge = math.sqrt(2.0 * new_energy * self.capacitance)
         self.ledger.delivered += delivered
         return delivered
 
@@ -250,12 +196,3 @@ class Capacitor:
             f"{type(self).__name__}(name={self.name!r}, C={self.capacitance:.6g} F, "
             f"V={self.voltage:.3f} V)"
         )
-
-
-class Supercapacitor(Capacitor):
-    """A supercapacitor: identical electrical model, lower default leakage.
-
-    The distinction matters for REACT's largest bank (Table 1 bank 5), which
-    uses supercapacitors whose leakage is orders of magnitude below the
-    ceramic parts used elsewhere.
-    """

@@ -4,8 +4,7 @@ REACT isolates its capacitor banks with *ideal diode* circuits (an LM66100-
 style comparator plus pass transistor) rather than PN or Schottky diodes,
 because at the sub-milliamp currents typical of batteryless systems the
 forward drop of a passive diode wastes a meaningful fraction of harvested
-power.  The models below expose that difference so the ablation benchmarks
-can quantify it.
+power.  :class:`IdealDiode` models that circuit.
 """
 
 from __future__ import annotations
@@ -36,15 +35,6 @@ class Diode(ABC):
         if current <= 0.0:
             return 0.0
         return self.forward_drop(current) * current
-
-    def transfer_efficiency(self, current: float, supply_voltage: float) -> float:
-        """Fraction of power surviving conduction at a given supply voltage."""
-        if supply_voltage <= 0.0 or current <= 0.0:
-            return 1.0
-        drop = self.forward_drop(current)
-        if drop >= supply_voltage:
-            return 0.0
-        return 1.0 - drop / supply_voltage
 
 
 @dataclass(frozen=True)
@@ -78,25 +68,3 @@ class IdealDiode(Diode):
         conduction = super().power_loss(current)
         # The comparator draws its quiescent current from a ~3 V rail.
         return conduction + self.quiescent_current * 3.0
-
-
-@dataclass(frozen=True)
-class SchottkyDiode(Diode):
-    """Passive Schottky diode with a fixed forward drop.
-
-    Used only as a baseline in the isolation-efficiency ablation; REACT's
-    design explicitly avoids it.
-    """
-
-    drop: float = 0.34
-
-    def __post_init__(self) -> None:
-        if self.drop < 0.0:
-            raise ConfigurationError(
-                f"forward drop must be non-negative, got {self.drop}"
-            )
-
-    def forward_drop(self, current: float) -> float:
-        if current <= 0.0:
-            return 0.0
-        return self.drop

@@ -79,13 +79,6 @@ class VoltageProportionalLeakage(LeakageModel):
                 f"rated voltage must be positive, got {self.rated_voltage}"
             )
 
-    @property
-    def equivalent_resistance(self) -> float:
-        """The equivalent parallel leakage resistance in ohms."""
-        if self.rated_current == 0.0:
-            return float("inf")
-        return self.rated_voltage / self.rated_current
-
     def current(self, voltage: float) -> float:
         if voltage <= 0.0:
             return 0.0

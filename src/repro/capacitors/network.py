@@ -1,24 +1,8 @@
-"""Capacitor-network math: combination rules and charge redistribution.
-
-The central physical fact behind REACT's design (§3.3.1) is that connecting
-charged capacitors at different voltages in parallel dissipates energy:
-charge is conserved, so the equalized voltage is the charge-weighted mean,
-and the quadratic energy of the combination is strictly below the sum of the
-parts whenever the initial voltages differ.  Morphy pays this cost on every
-reconfiguration; REACT's isolated banks never connect capacitors at
-different potentials and therefore avoid it.
-
-The functions here implement that math once so both buffer models and the
-analytic experiments (`experiments/switching_loss.py`) share it.
-"""
+"""Capacitor-network math: series and parallel combination rules."""
 
 from __future__ import annotations
 
-import math
-
-from typing import Iterable, Sequence, Tuple
-
-from repro.units import capacitor_energy
+from typing import Iterable
 
 
 def series_capacitance(capacitances: Iterable[float]) -> float:
@@ -47,98 +31,3 @@ def parallel_capacitance(capacitances: Iterable[float]) -> float:
     if count == 0:
         raise ValueError("at least one capacitor is required")
     return total
-
-
-def equalize_parallel(
-    capacitances: Sequence[float], voltages: Sequence[float]
-) -> Tuple[float, float]:
-    """Connect capacitors in parallel and let their voltages equalize.
-
-    Returns ``(final_voltage, energy_dissipated)``.  Charge is conserved;
-    the dissipated energy is the difference between the initial and final
-    stored energy, which in a real circuit is burned in the switch and wire
-    resistance during the equalizing current spike.
-    """
-    if len(capacitances) != len(voltages):
-        raise ValueError("capacitances and voltages must have the same length")
-    if not capacitances:
-        raise ValueError("at least one capacitor is required")
-    total_charge = 0.0
-    total_capacitance = 0.0
-    initial_energy = 0.0
-    for capacitance, voltage in zip(capacitances, voltages):
-        if capacitance <= 0.0:
-            raise ValueError(f"capacitance must be positive, got {capacitance}")
-        total_charge += capacitance * voltage
-        total_capacitance += capacitance
-        initial_energy += capacitor_energy(capacitance, voltage)
-    final_voltage = total_charge / total_capacitance
-    final_energy = capacitor_energy(total_capacitance, final_voltage)
-    dissipated = initial_energy - final_energy
-    return final_voltage, max(dissipated, 0.0)
-
-
-def redistribute_charge(
-    source_capacitance: float,
-    source_voltage: float,
-    sink_capacitance: float,
-    sink_voltage: float,
-) -> Tuple[float, float]:
-    """Connect a charged source capacitor across a sink and equalize.
-
-    Returns ``(final_voltage, energy_dissipated)``.  This is the two-element
-    special case of :func:`equalize_parallel`, kept separate because it is
-    the expression used in Equation 1 of the paper (bank output switched
-    onto the last-level buffer).
-    """
-    return equalize_parallel(
-        [source_capacitance, sink_capacitance], [source_voltage, sink_voltage]
-    )
-
-
-def transfer_energy_between(
-    source_capacitance: float,
-    source_voltage: float,
-    sink_capacitance: float,
-    sink_voltage: float,
-    max_energy: float = float("inf"),
-) -> Tuple[float, float, float]:
-    """Move charge from a higher-voltage source to a lower-voltage sink.
-
-    Models diode-gated replenishment of the last-level buffer from a bank:
-    charge flows only while the source is above the sink and stops either at
-    equalization or once ``max_energy`` joules have left the source.
-
-    Returns ``(new_source_voltage, new_sink_voltage, energy_into_sink)``.
-    """
-    if source_voltage <= sink_voltage:
-        return source_voltage, sink_voltage, 0.0
-    # Full equalization end-point.
-    equal_voltage, _ = redistribute_charge(
-        source_capacitance, source_voltage, sink_capacitance, sink_voltage
-    )
-    # Energy the source would give up at full equalization.
-    source_energy_drop = capacitor_energy(
-        source_capacitance, source_voltage
-    ) - capacitor_energy(source_capacitance, equal_voltage)
-    if source_energy_drop <= max_energy:
-        sink_gain = capacitor_energy(
-            sink_capacitance, equal_voltage
-        ) - capacitor_energy(sink_capacitance, sink_voltage)
-        return equal_voltage, equal_voltage, max(sink_gain, 0.0)
-    # Partial transfer: remove max_energy from the source, add the charge
-    # (minus the voltage-difference dissipation) to the sink.  We conserve
-    # charge: dq leaves the source at its falling voltage and lands on the
-    # sink at its rising voltage.
-    new_source_energy = (
-        capacitor_energy(source_capacitance, source_voltage) - max_energy
-    )
-    new_source_voltage = math.sqrt(2.0 * new_source_energy / source_capacitance)
-    charge_moved = source_capacitance * (source_voltage - new_source_voltage)
-    new_sink_voltage = min(
-        sink_voltage + charge_moved / sink_capacitance, new_source_voltage
-    )
-    sink_gain = capacitor_energy(sink_capacitance, new_sink_voltage) - capacitor_energy(
-        sink_capacitance, sink_voltage
-    )
-    return new_source_voltage, new_sink_voltage, max(sink_gain, 0.0)

@@ -25,7 +25,6 @@ from repro.core.sizing import (
     validate_bank_sizing,
 )
 from repro.core.reclamation import (
-    reclaimable_energy,
     reclamation_gain_factor,
     stranded_energy_with_reclamation,
     stranded_energy_without_reclamation,
@@ -43,7 +42,6 @@ __all__ = [
     "voltage_after_series_switch",
     "max_unit_capacitance",
     "validate_bank_sizing",
-    "reclaimable_energy",
     "reclamation_gain_factor",
     "stranded_energy_with_reclamation",
     "stranded_energy_without_reclamation",

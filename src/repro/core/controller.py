@@ -164,11 +164,6 @@ class ReactController:
         """Drop the pending longevity request."""
         self._minimum_energy = 0.0
 
-    @property
-    def minimum_energy(self) -> float:
-        """The pending longevity request in joules (0 when none)."""
-        return self._minimum_energy
-
     def longevity_satisfied(self) -> bool:
         """True when the fabric's usable energy meets the pending request."""
         return self.hardware.usable_energy() >= self._minimum_energy

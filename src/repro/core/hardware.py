@@ -240,11 +240,12 @@ class ReactHardware:
         last_level = self.last_level
         sink_capacitance = last_level.capacitance
         max_voltage = self.config.max_voltage
-        # The two-capacitor equalization of
-        # :func:`~repro.capacitors.network.redistribute_charge` is inlined
-        # here (same expressions, same evaluation order): this runs once
-        # per step off and twice on, on every stepped step, and
-        # :func:`~repro.buffers.react_adapter.replay_segment` mirrors it.
+        # Two-capacitor equalization: charge is conserved, so the final
+        # voltage is the charge-weighted mean, and the energy above the
+        # combination's is dissipated.  This runs once per step off and
+        # twice on, on every stepped step, and
+        # :func:`~repro.buffers.react_adapter.replay_segment` mirrors it
+        # (same expressions, same evaluation order).
         for _ in range(len(self.banks)):
             source = None
             source_voltage = 0.0

@@ -41,15 +41,6 @@ def stranded_energy_with_reclamation(
     return cell_count * capacitor_energy(unit_capacitance, low_voltage / cell_count)
 
 
-def reclaimable_energy(
-    cell_count: int, unit_capacitance: float, low_voltage: float
-) -> float:
-    """Extra energy the parallel→series reclamation step makes usable."""
-    return stranded_energy_without_reclamation(
-        cell_count, unit_capacitance, low_voltage
-    ) - stranded_energy_with_reclamation(cell_count, unit_capacitance, low_voltage)
-
-
 def reclamation_gain_factor(cell_count: int) -> float:
     """Ratio of stranded energy without vs. with reclamation (``N²``)."""
     if cell_count < 1:

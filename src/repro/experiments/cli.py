@@ -13,9 +13,7 @@ Grid execution is selected with ``--backend`` (``serial``, ``pool``,
 name).  ``--workers`` sets the pool width for the pool-style backends and
 selects nothing on its own: without ``--backend`` a sweep runs serially.
 ``--cache-dir DIR`` memoizes sweep results in a content-addressed store
-under ``DIR`` (equivalently, pick a ``cached:<inner>`` backend directly);
-``--no-cache`` disables the store even for an explicitly cached backend
-name.
+under ``DIR`` (equivalently, pick a ``cached:<inner>`` backend directly).
 
 ``react-repro lint`` runs the repo's invariant linter
 (:mod:`repro.analysis.lint`) over the installed package — the same
@@ -86,14 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help=(
-            "disable the result store even if --backend names a cached:* "
-            "variant or --cache-dir is set"
-        ),
-    )
-    parser.add_argument(
         "--no-fast-forward",
         action="store_true",
         help=(
@@ -128,7 +118,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         backend=args.backend,
         fast_forward=not args.no_fast_forward,
         cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
     )
 
     if args.experiment == "list":

@@ -76,10 +76,8 @@ class ExperimentSettings:
 
     ``cache_dir`` points sweeps at a content-addressed result store (see
     :mod:`repro.experiments.store`): setting it wraps the selected backend
-    in its memoizing ``cached:<name>`` variant, and ``use_cache=False``
-    (the ``--no-cache`` flag) strips the wrapper even from an explicitly
-    cached :attr:`backend` name.  ``workers``, ``backend``, ``cache_dir``
-    and ``use_cache`` are execution-only knobs: they never change results
+    in its memoizing ``cached:<name>`` variant.  ``workers``, ``backend``
+    and ``cache_dir`` are execution-only knobs: they never change results
     and are excluded from cache fingerprints.
     """
 
@@ -95,7 +93,6 @@ class ExperimentSettings:
     fast_forward: bool = True
     backend: Optional[str] = None
     cache_dir: Optional[str] = None
-    use_cache: bool = True
 
     @property
     def backend_name(self) -> str:
@@ -103,13 +100,11 @@ class ExperimentSettings:
 
         :attr:`backend`, or ``serial`` when unset.  A configured
         :attr:`cache_dir` then wraps the choice in its memoizing ``cached:``
-        variant, and ``use_cache=False`` strips that prefix instead.
+        variant.
         """
         base = self.backend or "serial"
         # "cached:" is the store wrapper's name prefix; runner.py sits
         # below backends.py in the import graph, so the literal lives here.
-        if not self.use_cache:
-            return base[len("cached:") :] if base.startswith("cached:") else base
         if self.cache_dir is not None and not base.startswith("cached:"):
             return f"cached:{base}"
         return base

@@ -16,7 +16,7 @@ Cache keys are *content addresses*:
 * Settings canonicalize field-order-independently, dropping fields that
   equal their declared defaults (spelling a default explicitly and leaving
   it unset hash identically) and the execution-only knobs (``workers``,
-  ``backend``, ``cache_dir``, ``use_cache``) that cannot change results —
+  ``backend``, ``cache_dir``) that cannot change results —
   so a result computed under ``cached:pool+batch`` is a hit for
   ``cached:serial``.
 * ``buffer_factory`` (and any other callable) is identified by its
@@ -94,7 +94,6 @@ EXECUTION_ONLY_FIELDS = frozenset(
     {
         "backend",
         "cache_dir",
-        "use_cache",
         "workers",
     }
 )

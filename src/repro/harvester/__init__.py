@@ -8,8 +8,8 @@ the equivalent software substrate:
   statistics (duration, mean power, coefficient of variation, spikiness),
 * :mod:`repro.harvester.synthetic` — seeded generators that produce the five
   evaluation traces calibrated to Table 3 of the paper,
-* :mod:`repro.harvester.solar` / :mod:`repro.harvester.rf` — physical models
-  of the harvesting hardware (panel, antenna, RF-to-DC converter),
+* :mod:`repro.harvester.solar` — a physical model of the solar panel and
+  its irradiance,
 * :mod:`repro.harvester.regulator` — load/level-dependent conversion
   efficiency of the harvester power stage,
 * :mod:`repro.harvester.frontend` — the replay frontend the simulator polls.
@@ -25,7 +25,6 @@ from repro.harvester.synthetic import (
     solar_trace,
 )
 from repro.harvester.solar import SolarPanel, diurnal_irradiance
-from repro.harvester.rf import RfHarvester, rf_to_dc_efficiency
 from repro.harvester.regulator import BoostRegulator, IdealRegulator, Regulator
 from repro.harvester.frontend import HarvestingFrontend
 
@@ -40,8 +39,6 @@ __all__ = [
     "solar_trace",
     "SolarPanel",
     "diurnal_irradiance",
-    "RfHarvester",
-    "rf_to_dc_efficiency",
     "Regulator",
     "IdealRegulator",
     "BoostRegulator",

@@ -97,10 +97,3 @@ class HarvestingFrontend:
         self.raw_energy_offered += raw * dt
         self.energy_delivered += delivered * dt
         return delivered * dt
-
-    @property
-    def conversion_efficiency(self) -> float:
-        """Cumulative fraction of raw harvested energy that reached the buffer."""
-        if self.raw_energy_offered <= 0.0:
-            return 1.0
-        return self.energy_delivered / self.raw_energy_offered

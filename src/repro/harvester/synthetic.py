@@ -305,23 +305,3 @@ def solar_night_trace(
         base_fraction=0.9,
     )
     return generate_trace(spec, seed)
-
-
-def scaled_table3_traces(
-    duration_cap: float, seed: int = 0, names: Optional[Iterable[str]] = None
-) -> Dict[str, PowerTrace]:
-    """Table 3 traces truncated to at most ``duration_cap`` seconds.
-
-    The two solar traces run for 1–2 hours; the truncated variants keep unit
-    tests and benchmark harness runs fast while preserving per-trace
-    statistics (the generators are stationary, so a prefix has approximately
-    the same mean and CV).
-    """
-    traces = generate_table3_traces(seed, names)
-    capped: Dict[str, PowerTrace] = {}
-    for name, trace in traces.items():
-        if trace.duration > duration_cap:
-            capped[name] = trace.truncated(duration_cap, name=trace.name)
-        else:
-            capped[name] = trace
-    return capped

@@ -9,10 +9,8 @@ synthetic generators are calibrated against.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Tuple, Union
+from typing import Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,16 +29,6 @@ class TraceStatistics:
     total_energy: float
     spike_energy_fraction: float
     time_below_fraction: float
-
-    def as_row(self) -> dict:
-        """Dictionary row suitable for table rendering."""
-        return {
-            "duration_s": round(self.duration, 1),
-            "mean_power_mW": round(self.mean_power * 1e3, 3),
-            "cv_percent": round(self.coefficient_of_variation * 100.0, 1),
-            "peak_power_mW": round(self.peak_power * 1e3, 3),
-            "total_energy_J": round(self.total_energy, 3),
-        }
 
 
 class PowerTrace:
@@ -201,31 +189,6 @@ class PowerTrace:
             return float("inf")
         return (index + 1) * self.sample_period
 
-    def energy_between(self, start: float, end: float) -> float:
-        """Harvested energy between two absolute times (joules).
-
-        Computed exactly from the overlap of ``[start, end)`` with each
-        sample interval (zero-order hold), so it never double-counts a
-        sample regardless of the interval boundaries.
-        """
-        if end < start:
-            raise TraceError("end must be >= start")
-        if start < 0.0:
-            raise TraceError(f"start must be non-negative, got {start}")
-        end = min(end, self.duration)
-        if end <= start:
-            return 0.0
-        first_index = int(start / self.sample_period)
-        last_index = min(int(end / self.sample_period), self._powers.size - 1)
-        total = 0.0
-        for index in range(first_index, last_index + 1):
-            interval_start = index * self.sample_period
-            interval_end = interval_start + self.sample_period
-            overlap = min(end, interval_end) - max(start, interval_start)
-            if overlap > 0.0:
-                total += float(self._powers[index]) * overlap
-        return total
-
     def statistics(
         self,
         spike_threshold: float = 10e-3,
@@ -299,62 +262,6 @@ class PowerTrace:
         return PowerTrace(
             self._powers[indices], sample_period, name or f"{self.name}-resampled"
         )
-
-    def concatenated(
-        self, other: "PowerTrace", name: str | None = None
-    ) -> "PowerTrace":
-        """Return this trace followed by ``other`` (sample periods must match)."""
-        if abs(other.sample_period - self.sample_period) > 1e-12:
-            raise TraceError("cannot concatenate traces with different sample periods")
-        return PowerTrace(
-            np.concatenate([self._powers, other.powers]),
-            self.sample_period,
-            name or f"{self.name}+{other.name}",
-        )
-
-    # -- persistence -----------------------------------------------------------
-
-    def to_csv(self, path: Union[str, Path]) -> None:
-        """Write the trace as ``time_s,power_w`` rows."""
-        path = Path(path)
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["time_s", "power_w"])
-            for time, power in self:
-                writer.writerow([f"{time:.6f}", f"{power:.9f}"])
-
-    @classmethod
-    def from_csv(cls, path: Union[str, Path], name: str | None = None) -> "PowerTrace":
-        """Load a trace written by :meth:`to_csv` (or any two-column CSV)."""
-        path = Path(path)
-        times: list[float] = []
-        powers: list[float] = []
-        with path.open() as handle:
-            reader = csv.reader(handle)
-            for row in reader:
-                if not row or not row[0] or row[0].startswith("#"):
-                    continue
-                try:
-                    time, power = float(row[0]), float(row[1])
-                except ValueError:
-                    continue  # header row
-                times.append(time)
-                powers.append(power)
-        if len(powers) < 2:
-            raise TraceError(f"trace file {path} contains fewer than two samples")
-        sample_period = times[1] - times[0]
-        return cls(powers, sample_period, name or path.stem)
-
-    @classmethod
-    def from_samples(
-        cls,
-        samples: Iterable[Tuple[float, float]],
-        sample_period: float,
-        name: str = "trace",
-    ) -> "PowerTrace":
-        """Build a trace from ``(time, power)`` pairs sampled uniformly."""
-        powers = [power for _, power in samples]
-        return cls(powers, sample_period, name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (

@@ -16,7 +16,6 @@ from repro.sim.metrics import (
     aggregate_results,
     figure_of_merit,
     normalize_to_reference,
-    on_time_fraction,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "figure_of_merit",
     "normalize_to_reference",
     "aggregate_results",
-    "on_time_fraction",
 ]

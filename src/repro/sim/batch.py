@@ -403,11 +403,7 @@ class _LockstepRun:
         # fast_forward/fast_forward_on before falling back to a normal
         # lockstep step for the disagreeing minority of lanes.
         breakpoints = self.regulator.efficiency_breakpoints()
-        use_fast_forward = (
-            simulator.fast_forward
-            and breakpoints is not None
-            and all(b.can_fast_forward() for b in kernel.buffers)
-        )
+        use_fast_forward = simulator.fast_forward and breakpoints is not None
         self.planner = (
             LaneSegmentPlanner(
                 self.sample_period,

@@ -156,9 +156,7 @@ class Simulator:
         enable_voltage = gate.enable_voltage
         quiescent_current = gate.quiescent_current
         breakpoints = frontend.regulator.efficiency_breakpoints()
-        use_fast_forward = (
-            self.fast_forward and breakpoints is not None and buffer.can_fast_forward()
-        )
+        use_fast_forward = self.fast_forward and breakpoints is not None
         # All segment-boundary arithmetic (trace edges, recorder points,
         # efficiency breakpoints, hint expiry margins, drain/wake guards)
         # lives in the planner; this engine only executes the plans.

@@ -19,11 +19,6 @@ def figure_of_merit(result: SimulationResult) -> float:
     return result.work_units
 
 
-def on_time_fraction(result: SimulationResult) -> float:
-    """Fraction of the trace during which the platform was powered."""
-    return result.on_time_during_trace_fraction
-
-
 def normalize_to_reference(
     values: Mapping[str, float], reference: str
 ) -> Dict[str, float]:
@@ -97,15 +92,3 @@ def mean_normalized_performance(
             buffer_name: mean(values) for buffer_name, values in accumulator.items()
         }
     return summary
-
-
-def improvement_over(
-    values: Mapping[str, float], subject: str, baseline: str
-) -> float:
-    """Relative improvement of ``subject`` over ``baseline`` (e.g. +0.39 = +39 %)."""
-    if baseline not in values or subject not in values:
-        raise KeyError("both subject and baseline must be present")
-    baseline_value = values[baseline]
-    if baseline_value <= 0.0:
-        return float("inf") if values[subject] > 0.0 else 0.0
-    return values[subject] / baseline_value - 1.0

@@ -2,7 +2,7 @@
 
 All internal quantities use SI base units: volts, amperes, farads, joules,
 watts, seconds.  The helpers below exist so that configuration code can be
-written in the units the paper uses (microfarads, millifarads, milliwatts,
+written in the units the paper uses (microfarads, millifarads, milliamps,
 microamps) without sprinkling powers of ten through the codebase.
 """
 
@@ -16,8 +16,6 @@ import math
 
 MILLI = 1e-3
 MICRO = 1e-6
-NANO = 1e-9
-KILO = 1e3
 
 
 def microfarads(value: float) -> float:
@@ -38,31 +36,6 @@ def milliamps(value: float) -> float:
 def microamps(value: float) -> float:
     """Convert a value expressed in microamps to amperes."""
     return value * MICRO
-
-
-def milliwatts(value: float) -> float:
-    """Convert a value expressed in milliwatts to watts."""
-    return value * MILLI
-
-
-def microwatts(value: float) -> float:
-    """Convert a value expressed in microwatts to watts."""
-    return value * MICRO
-
-
-def millijoules(value: float) -> float:
-    """Convert a value expressed in millijoules to joules."""
-    return value * MILLI
-
-
-def to_millijoules(joules: float) -> float:
-    """Convert joules to millijoules for reporting."""
-    return joules / MILLI
-
-
-def to_milliwatts(watts: float) -> float:
-    """Convert watts to milliwatts for reporting."""
-    return watts / MILLI
 
 
 def next_grid_time(time: float, period: float) -> float:
@@ -91,18 +64,6 @@ def next_grid_time(time: float, period: float) -> float:
 def capacitor_energy(capacitance: float, voltage: float) -> float:
     """Energy stored on an ideal capacitor: ``E = 1/2 C V^2``."""
     return 0.5 * capacitance * voltage * voltage
-
-
-def capacitor_voltage(capacitance: float, charge: float) -> float:
-    """Voltage across an ideal capacitor holding ``charge`` coulombs."""
-    if capacitance <= 0.0:
-        raise ValueError(f"capacitance must be positive, got {capacitance}")
-    return charge / capacitance
-
-
-def capacitor_charge(capacitance: float, voltage: float) -> float:
-    """Charge stored on an ideal capacitor at ``voltage`` volts."""
-    return capacitance * voltage
 
 
 def usable_energy(capacitance: float, v_high: float, v_low: float) -> float:

@@ -129,30 +129,6 @@ class AES128:
         _add_round_key(state, self._round_keys[_ROUNDS])
         return bytes(state)
 
-    def encrypt_ecb(self, data: bytes) -> bytes:
-        """Encrypt a multiple-of-16-byte buffer in ECB mode (benchmark use only)."""
-        if len(data) % _BLOCK_SIZE != 0:
-            raise WorkloadError("data length must be a multiple of 16 bytes")
-        blocks = [
-            self.encrypt_block(data[i : i + _BLOCK_SIZE])
-            for i in range(0, len(data), _BLOCK_SIZE)
-        ]
-        return b"".join(blocks)
-
-    def encrypt_ctr(self, data: bytes, nonce: bytes) -> bytes:
-        """Encrypt arbitrary-length data in CTR mode (used by examples)."""
-        if len(nonce) != 8:
-            raise WorkloadError(f"CTR nonce must be 8 bytes, got {len(nonce)}")
-        out = bytearray()
-        counter = 0
-        for offset in range(0, len(data), _BLOCK_SIZE):
-            block = nonce + counter.to_bytes(8, "big")
-            keystream = self.encrypt_block(block)
-            chunk = data[offset : offset + _BLOCK_SIZE]
-            out.extend(a ^ b for a, b in zip(chunk, keystream))
-            counter += 1
-        return bytes(out)
-
 
 def aes128_encrypt_block(key: bytes, plaintext: bytes) -> bytes:
     """One-shot block encryption convenience wrapper."""

@@ -14,13 +14,6 @@ from typing import List, Sequence
 from repro.exceptions import WorkloadError
 
 
-def moving_average(length: int) -> List[float]:
-    """Coefficients of a simple boxcar (moving-average) filter."""
-    if length <= 0:
-        raise WorkloadError(f"filter length must be positive, got {length}")
-    return [1.0 / length] * length
-
-
 def design_lowpass(num_taps: int, cutoff: float) -> List[float]:
     """Windowed-sinc low-pass filter design (Hamming window).
 

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.analysis.aggregate import (
-    matrix_from_results,
-    mean_over_traces,
-    relative_improvement,
-)
+from repro.analysis.aggregate import matrix_from_results, mean_over_traces
 from repro.analysis.formatting import format_matrix, format_table, percent
 from repro.sim.results import SimulationResult
 
@@ -77,13 +73,3 @@ class TestAggregation:
         means = mean_over_traces(matrix)
         assert means["REACT"] == pytest.approx(2.0)
         assert means["17 mF"] == pytest.approx(4.0)
-
-    def test_relative_improvement(self):
-        assert relative_improvement(
-            {"REACT": 1.25, "base": 1.0}, "REACT", "base"
-        ) == pytest.approx(0.25)
-        assert relative_improvement(
-            {"REACT": 1.0, "base": 0.0}, "REACT", "base"
-        ) == float("inf")
-        with pytest.raises(KeyError):
-            relative_improvement({"REACT": 1.0}, "REACT", "base")

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.capacitors.capacitor import Capacitor, EnergyLedger, Supercapacitor
+from repro.capacitors.capacitor import Capacitor
 from repro.capacitors.leakage import ConstantCurrentLeakage
 from repro.exceptions import ConfigurationError
 from repro.units import capacitor_energy
@@ -36,11 +36,6 @@ class TestConstruction:
         assert cap.voltage == pytest.approx(2.0)
         assert cap.charge == pytest.approx(2e-3)
 
-    def test_supercapacitor_shares_electrical_model(self):
-        supercap = Supercapacitor(capacitance=0.1, rated_voltage=5.5)
-        supercap.charge_with_energy(0.1)
-        assert supercap.energy == pytest.approx(0.1)
-
 
 class TestEnergyCharging:
     def test_charge_with_energy_stores_exactly(self):
@@ -66,24 +61,6 @@ class TestEnergyCharging:
             make_cap().charge_with_energy(-1.0)
 
 
-class TestCurrentCharging:
-    def test_current_charging_adds_charge(self):
-        cap = make_cap()
-        cap.charge_with_current(current=1e-3, dt=1.0)
-        assert cap.charge == pytest.approx(1e-3)
-        assert cap.voltage == pytest.approx(1.0)
-
-    def test_current_charging_clips_and_records_heat(self):
-        cap = make_cap(initial=3.5)
-        cap.charge_with_current(current=1.0, dt=1.0)
-        assert cap.voltage == pytest.approx(3.6)
-        assert cap.ledger.clipped > 0.0
-
-    def test_negative_current_rejected(self):
-        with pytest.raises(ValueError):
-            make_cap().charge_with_current(-1e-3, 1.0)
-
-
 class TestDischarge:
     def test_discharge_current_removes_charge(self):
         cap = make_cap(initial=3.0)
@@ -98,22 +75,9 @@ class TestDischarge:
         cap.discharge_current(current=1.0, dt=10.0, v_floor=1.8)
         assert cap.voltage == pytest.approx(1.8)
 
-    def test_discharge_energy_partial_when_floor_hit(self):
-        cap = make_cap(initial=2.0)
-        delivered = cap.discharge_energy(1.0, v_floor=1.8)
-        expected = capacitor_energy(1e-3, 2.0) - capacitor_energy(1e-3, 1.8)
-        assert delivered == pytest.approx(expected)
-
-    def test_discharge_energy_full_when_available(self):
-        cap = make_cap(initial=3.0)
-        delivered = cap.discharge_energy(1e-4)
-        assert delivered == pytest.approx(1e-4)
-
     def test_negative_discharge_rejected(self):
         with pytest.raises(ValueError):
             make_cap(initial=1.0).discharge_current(-1e-3, 1.0)
-        with pytest.raises(ValueError):
-            make_cap(initial=1.0).discharge_energy(-1e-3)
 
 
 class TestLeakage:
@@ -134,31 +98,12 @@ class TestLeakage:
 
 
 class TestLedgerAndReset:
-    def test_ledger_merge_accumulates(self):
-        first = EnergyLedger(absorbed=1.0, delivered=0.5, clipped=0.1, leaked=0.2)
-        second = EnergyLedger(absorbed=2.0, delivered=1.5, clipped=0.3, leaked=0.4)
-        first.merge(second)
-        merged = first.as_dict()
-        assert merged["absorbed"] == pytest.approx(3.0)
-        assert merged["delivered"] == pytest.approx(2.0)
-        assert merged["clipped"] == pytest.approx(0.4)
-        assert merged["leaked"] == pytest.approx(0.6)
-
     def test_reset_clears_state_and_ledger(self):
         cap = make_cap(initial=3.0)
         cap.discharge_current(1e-3, 1.0)
         cap.reset()
         assert cap.voltage == 0.0
         assert cap.ledger.delivered == 0.0
-
-    def test_headroom_energy(self):
-        cap = make_cap(initial=1.8)
-        assert cap.headroom_energy == pytest.approx(cap.max_energy - cap.energy)
-
-    def test_is_full(self):
-        cap = make_cap(initial=3.6)
-        assert cap.is_full()
-        assert not make_cap(initial=3.0).is_full()
 
 
 @given(

@@ -1,4 +1,4 @@
-"""Solar panel, RF harvester, regulator, and frontend models."""
+"""Solar panel, regulator, and frontend models."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,6 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.harvester.frontend import HarvestingFrontend
 from repro.harvester.regulator import BoostRegulator, IdealRegulator
-from repro.harvester.rf import (
-    RfHarvester,
-    dbm_to_watts,
-    rf_to_dc_efficiency,
-    watts_to_dbm,
-)
 from repro.harvester.solar import FULL_SUN_IRRADIANCE, SolarPanel, diurnal_irradiance
 from repro.harvester.trace import PowerTrace
 
@@ -70,43 +64,6 @@ class TestSolarPanel:
         assert (irradiance >= 0.0).all()
 
 
-class TestRfHarvester:
-    def test_dbm_conversions_round_trip(self):
-        assert watts_to_dbm(dbm_to_watts(7.0)) == pytest.approx(7.0)
-        assert watts_to_dbm(0.0) == -np.inf
-
-    def test_efficiency_is_zero_below_sensitivity(self):
-        assert rf_to_dc_efficiency(dbm_to_watts(-20.0)) == 0.0
-
-    def test_efficiency_peaks_near_ten_dbm(self):
-        assert rf_to_dc_efficiency(dbm_to_watts(10.0)) == pytest.approx(0.55, abs=0.02)
-
-    def test_received_power_follows_inverse_square(self):
-        harvester = RfHarvester()
-        near = harvester.received_rf_power(1.0)
-        far = harvester.received_rf_power(2.0)
-        assert near / far == pytest.approx(4.0)
-
-    def test_harvested_power_is_below_received(self):
-        harvester = RfHarvester()
-        assert harvester.harvested_power(2.0) < harvester.received_rf_power(2.0)
-
-    def test_obstruction_attenuates(self):
-        harvester = RfHarvester()
-        assert harvester.harvested_power(
-            2.0, obstruction_db=10.0
-        ) < harvester.harvested_power(2.0)
-
-    def test_distance_validation(self):
-        with pytest.raises(ValueError):
-            RfHarvester().received_rf_power(0.0)
-
-    def test_trace_from_distances(self):
-        harvester = RfHarvester()
-        trace = harvester.trace_from_distances(np.array([1.0, 2.0, 4.0]))
-        assert trace.powers[0] > trace.powers[1] > trace.powers[2]
-
-
 class TestRegulators:
     def test_ideal_regulator_is_lossless(self):
         regulator = IdealRegulator()
@@ -137,13 +94,13 @@ class TestFrontend:
         energy = frontend.step(0.0, 1.0, buffer_voltage=2.0)
         assert energy == pytest.approx(5e-3)
         assert frontend.raw_energy_offered == pytest.approx(5e-3)
-        assert frontend.conversion_efficiency == pytest.approx(1.0)
+        assert frontend.energy_delivered == frontend.raw_energy_offered
 
     def test_step_with_boost_regulator_loses_energy(self, steady_trace):
         frontend = HarvestingFrontend(steady_trace, regulator=BoostRegulator())
         energy = frontend.step(0.0, 1.0, buffer_voltage=3.0)
         assert energy < 5e-3
-        assert frontend.conversion_efficiency < 1.0
+        assert frontend.energy_delivered < frontend.raw_energy_offered
 
     def test_reset_clears_ledger(self, steady_trace):
         frontend = HarvestingFrontend(steady_trace)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from repro.exceptions import WorkloadError
 from repro.workloads.kernels.aes import AES128, aes128_encrypt_block, aes128_self_test
 from repro.workloads.kernels.crc import crc16_ccitt
-from repro.workloads.kernels.fir import FirFilter, design_lowpass, moving_average
+from repro.workloads.kernels.fir import FirFilter, design_lowpass
 
 
 class TestAes:
@@ -38,28 +38,6 @@ class TestAes:
         with pytest.raises(WorkloadError):
             AES128(b"short key")
 
-    def test_ecb_multiple_blocks(self):
-        cipher = AES128(bytes(16))
-        ciphertext = cipher.encrypt_ecb(bytes(32))
-        assert len(ciphertext) == 32
-        assert ciphertext[:16] == ciphertext[16:]  # ECB leaks equal blocks
-
-    def test_ecb_rejects_partial_block(self):
-        with pytest.raises(WorkloadError):
-            AES128(bytes(16)).encrypt_ecb(bytes(17))
-
-    def test_ctr_round_trip(self):
-        cipher = AES128(bytes(range(16)))
-        plaintext = b"intermittent computing!" * 3
-        nonce = bytes(8)
-        ciphertext = cipher.encrypt_ctr(plaintext, nonce)
-        assert cipher.encrypt_ctr(ciphertext, nonce) == plaintext
-        assert ciphertext != plaintext
-
-    def test_ctr_nonce_length_enforced(self):
-        with pytest.raises(WorkloadError):
-            AES128(bytes(16)).encrypt_ctr(b"data", b"123")
-
     @given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))
     def test_encryption_is_a_permutation(self, key, block):
         """Distinct plaintexts never collide under the same key."""
@@ -69,14 +47,6 @@ class TestAes:
 
 
 class TestFir:
-    def test_moving_average_coefficients(self):
-        taps = moving_average(4)
-        assert taps == [0.25] * 4
-
-    def test_moving_average_validation(self):
-        with pytest.raises(WorkloadError):
-            moving_average(0)
-
     def test_lowpass_dc_gain_is_unity(self):
         taps = design_lowpass(num_taps=21, cutoff=0.1)
         assert sum(taps) == pytest.approx(1.0)
@@ -106,7 +76,7 @@ class TestFir:
         assert block == pytest.approx(streaming)
 
     def test_reset_clears_state(self):
-        fir = FirFilter(moving_average(3))
+        fir = FirFilter([1.0 / 3.0] * 3)
         fir.process([1.0, 2.0, 3.0])
         fir.reset()
         assert fir.process_sample(0.0) == 0.0
@@ -117,7 +87,7 @@ class TestFir:
 
     @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=64))
     def test_moving_average_output_bounded_by_input(self, samples):
-        fir = FirFilter(moving_average(5))
+        fir = FirFilter([0.2] * 5)  # a 5-tap moving average
         outputs = fir.process(samples)
         bound = max(abs(s) for s in samples) + 1e-9
         assert all(abs(value) <= bound for value in outputs)

@@ -1,20 +1,8 @@
-"""Capacitor-network math: combination rules and charge redistribution.
-
-These functions encode the physics behind both REACT's reclamation math and
-Morphy's switching loss, so they get property-based coverage.
-"""
+"""Capacitor-network math: series and parallel combination rules."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.capacitors.network import (
-    equalize_parallel,
-    parallel_capacitance,
-    redistribute_charge,
-    series_capacitance,
-    transfer_energy_between,
-)
-from repro.units import capacitor_energy
+from repro.capacitors.network import parallel_capacitance, series_capacitance
 
 
 class TestCombinationRules:
@@ -39,83 +27,3 @@ class TestCombinationRules:
             series_capacitance([1e-3, 0.0])
         with pytest.raises(ValueError):
             parallel_capacitance([-1e-3])
-
-
-class TestEqualizeParallel:
-    def test_paper_figure5_example(self):
-        """Three caps at V/4 joined by one at V/4... the 4-capacitor 25% case.
-
-        The paper's example: a 4-capacitor series chain at total voltage V
-        (each cell at V/4) has one capacitor moved across the remaining
-        3-cell chain.  Expressed as a two-element equalization between the
-        chain (C/3 at 3V/4) and the moved cell (C at V/4), 25 % of the
-        stored energy is dissipated.
-        """
-        C, V = 1e-3, 1.0
-        final_voltage, dissipated = redistribute_charge(C / 3.0, 0.75 * V, C, 0.25 * V)
-        initial = capacitor_energy(C / 3.0, 0.75 * V) + capacitor_energy(C, 0.25 * V)
-        assert dissipated / initial == pytest.approx(0.25)
-        assert final_voltage == pytest.approx(3.0 * V / 8.0)
-
-    def test_equal_voltages_dissipate_nothing(self):
-        _, dissipated = equalize_parallel([1e-3, 2e-3, 3e-3], [2.5, 2.5, 2.5])
-        assert dissipated == pytest.approx(0.0, abs=1e-15)
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            equalize_parallel([1e-3], [1.0, 2.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            equalize_parallel([], [])
-
-    @given(
-        caps=st.lists(st.floats(1e-6, 1e-2), min_size=2, max_size=6),
-        volts=st.lists(st.floats(0.0, 5.0), min_size=2, max_size=6),
-    )
-    def test_charge_conserved_and_energy_never_gained(self, caps, volts):
-        size = min(len(caps), len(volts))
-        caps, volts = caps[:size], volts[:size]
-        final_voltage, dissipated = equalize_parallel(caps, volts)
-        total_charge_before = sum(c * v for c, v in zip(caps, volts))
-        total_charge_after = sum(caps) * final_voltage
-        assert total_charge_after == pytest.approx(
-            total_charge_before, rel=1e-9, abs=1e-15
-        )
-        assert dissipated >= -1e-15
-
-
-class TestTransferEnergyBetween:
-    def test_no_transfer_when_source_not_higher(self):
-        source_v, sink_v, moved = transfer_energy_between(1e-3, 2.0, 1e-3, 2.5)
-        assert moved == 0.0
-        assert source_v == 2.0 and sink_v == 2.5
-
-    def test_full_equalization_when_unlimited(self):
-        source_v, sink_v, moved = transfer_energy_between(1e-3, 3.0, 1e-3, 1.0)
-        assert source_v == pytest.approx(sink_v)
-        assert source_v == pytest.approx(2.0)
-        assert moved > 0.0
-
-    def test_partial_transfer_respects_energy_cap(self):
-        cap = 0.5e-6
-        source_v, sink_v, moved = transfer_energy_between(
-            1e-3, 3.0, 1e-3, 1.0, max_energy=cap
-        )
-        assert source_v > sink_v  # did not fully equalize
-        assert moved <= cap + 1e-12
-
-    @given(
-        source_c=st.floats(1e-6, 1e-2),
-        source_v=st.floats(0.0, 5.0),
-        sink_c=st.floats(1e-6, 1e-2),
-        sink_v=st.floats(0.0, 5.0),
-    )
-    def test_sink_never_ends_above_source_start(
-        self, source_c, source_v, sink_c, sink_v
-    ):
-        new_source, new_sink, moved = transfer_energy_between(
-            source_c, source_v, sink_c, sink_v
-        )
-        assert moved >= 0.0
-        assert new_sink <= max(source_v, sink_v) + 1e-9

@@ -15,7 +15,6 @@ from repro.core.bank import BankState, CapacitorBank
 from repro.core.config import BankSpec, ReactConfig, table1_config
 from repro.core.hardware import ReactHardware
 from repro.core.reclamation import (
-    reclaimable_energy,
     reclamation_gain_factor,
     stranded_energy_with_reclamation,
     stranded_energy_without_reclamation,
@@ -231,12 +230,6 @@ class TestReclamation:
         with_reclamation = stranded_energy_with_reclamation(3, 880e-6, 1.9)
         assert without / with_reclamation == pytest.approx(9.0)
 
-    def test_reclaimable_energy_is_difference(self):
-        assert reclaimable_energy(3, 880e-6, 1.9) == pytest.approx(
-            stranded_energy_without_reclamation(3, 880e-6, 1.9)
-            - stranded_energy_with_reclamation(3, 880e-6, 1.9)
-        )
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             reclamation_gain_factor(0)
@@ -245,7 +238,9 @@ class TestReclamation:
 
     @given(cells=st.integers(1, 8), unit=st.floats(1e-6, 1e-2), low=st.floats(0.0, 4.0))
     def test_reclamation_never_negative(self, cells, unit, low):
-        assert reclaimable_energy(cells, unit, low) >= -1e-15
+        without = stranded_energy_without_reclamation(cells, unit, low)
+        with_reclamation = stranded_energy_with_reclamation(cells, unit, low)
+        assert without - with_reclamation >= -1e-15
 
 
 # -- the fused whole-segment replay -------------------------------------------------

@@ -181,8 +181,10 @@ class TestReactController:
             hardware.banks[1].set_cell_voltage(1.2)
             hardware.banks[1].to_parallel()
         assert controller.longevity_satisfied()
+        controller.set_minimum_energy(1.0)
+        assert not controller.longevity_satisfied()
         controller.clear_minimum_energy()
-        assert controller.minimum_energy == 0.0
+        assert controller.longevity_satisfied()
 
     def test_negative_minimum_energy_rejected(self):
         _, controller = self.make()
@@ -222,7 +224,7 @@ class TestReactBufferAdapter:
 
     def test_default_uses_table1(self):
         buffer = ReactBuffer()
-        assert buffer.max_capacitance == pytest.approx(
+        assert buffer.config.maximum_capacitance == pytest.approx(
             table1_config().maximum_capacitance
         )
 

@@ -11,7 +11,6 @@ from repro.platform.gating import PowerGate
 from repro.sim.engine import Simulator
 from repro.sim.metrics import (
     aggregate_results,
-    improvement_over,
     mean_normalized_performance,
     normalize_to_reference,
 )
@@ -412,10 +411,3 @@ class TestResultsAndMetrics:
         summary = mean_normalized_performance(results, reference="REACT")
         assert summary["SC"]["770 uF"] == pytest.approx(0.5)
         assert summary["SC"]["REACT"] == pytest.approx(1.0)
-
-    def test_improvement_over(self):
-        assert improvement_over(
-            {"REACT": 1.3, "base": 1.0}, "REACT", "base"
-        ) == pytest.approx(0.3)
-        with pytest.raises(KeyError):
-            improvement_over({"REACT": 1.0}, "REACT", "base")

@@ -4,7 +4,7 @@ Five contracts are pinned here:
 
 * **Fingerprint stability** — cache keys depend only on what a run
   computes: field order, execution-only knobs (``workers``,
-  ``backend``, ``cache_dir``, ``use_cache``), and explicitly spelled
+  ``backend``, ``cache_dir``), and explicitly spelled
   defaults never change a key, and a fresh interpreter (different hash
   randomization) derives the same key.
 * **Invalidation** — changing the code-version salt misses every old
@@ -132,7 +132,6 @@ class TestFingerprint:
             workers=8,
             backend="pool+batch",
             cache_dir="/somewhere",
-            use_cache=False,
         )
         assert settings_fingerprint(base) == settings_fingerprint(reordered)
         assert settings_fingerprint(base) == settings_fingerprint(executed)
@@ -358,16 +357,12 @@ class TestRegistryIntegration:
         with pytest.raises(ConfigurationError, match="quantum"):
             resolve_backend("cached:quantum", QUICK)
 
-    def test_backend_name_wraps_and_strips(self, tmp_path):
+    def test_backend_name_wraps_once(self, tmp_path):
         cache_dir = str(tmp_path)
         assert ExperimentSettings(cache_dir=cache_dir).backend_name == "cached:serial"
         assert (
             ExperimentSettings(cache_dir=cache_dir, backend="batch").backend_name
             == "cached:batch"
-        )
-        assert (
-            ExperimentSettings(backend="cached:pool", use_cache=False).backend_name
-            == "pool"
         )
         explicit = ExperimentSettings(backend="cached:serial", cache_dir=cache_dir)
         assert explicit.backend_name == "cached:serial"
@@ -377,12 +372,8 @@ class TestRegistryIntegration:
             ["table4", "--quick", "--backend", "cached:serial", "--cache-dir", "/d"]
         )
         assert args.backend == "cached:serial" and args.cache_dir == "/d"
-        settings = ExperimentSettings(
-            backend=args.backend, cache_dir=args.cache_dir, use_cache=not args.no_cache
-        )
+        settings = ExperimentSettings(backend=args.backend, cache_dir=args.cache_dir)
         assert settings.backend_name == "cached:serial"
-        args = build_parser().parse_args(["table4", "--no-cache"])
-        assert args.no_cache
 
 
 class TestCachedBackendEquivalence:
@@ -452,14 +443,6 @@ class TestCachedBackendEquivalence:
             workloads=("SC",), trace_names=("RF Cart", "RF Mobile"), settings=settings
         )
         assert grown.cache_stats.hits == 5 and grown.cache_stats.misses == 5
-
-    def test_no_cache_strips_the_wrapper(self, tmp_path):
-        settings = ExperimentSettings(
-            quick=True, cache_dir=str(tmp_path), use_cache=False
-        )
-        run = sweep(workloads=("SC",), trace_names=("RF Cart",), settings=settings)
-        assert run.backend == "serial" and run.cache_stats is None
-        assert not any(Path(tmp_path).iterdir())
 
     def test_stats_delta_is_per_run_not_cumulative(self, tmp_path):
         store = ResultStore(tmp_path, salt="s")

@@ -10,7 +10,6 @@ from repro.harvester.synthetic import (
     generate_table3_trace,
     generate_table3_traces,
     rf_trace,
-    scaled_table3_traces,
     solar_night_trace,
     solar_trace,
 )
@@ -81,10 +80,6 @@ class TestCustomGenerators:
     def test_solar_night_trace_is_weak(self):
         trace = solar_night_trace(duration=600.0)
         assert trace.mean_power < 0.1e-3
-
-    def test_scaled_table3_traces_cap_duration(self):
-        traces = scaled_table3_traces(duration_cap=400.0)
-        assert all(trace.duration <= 400.0 + 1.0 for trace in traces.values())
 
     def test_spec_validation(self):
         with pytest.raises(TraceError):

@@ -1,8 +1,6 @@
-"""PowerTrace container: statistics, queries, transforms, and persistence."""
+"""PowerTrace container: statistics, queries, and transforms."""
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.exceptions import TraceError
 from repro.harvester.trace import PowerTrace
@@ -57,11 +55,6 @@ class TestStatistics:
         assert stats.spike_energy_fraction == pytest.approx(20e-3 / (9e-3 + 20e-3))
         assert stats.time_below_fraction == pytest.approx(0.9)
 
-    def test_statistics_as_row(self):
-        row = make_trace().statistics().as_row()
-        assert row["duration_s"] == 4.0
-        assert "mean_power_mW" in row
-
 
 class TestQueries:
     def test_power_at_uses_zero_order_hold(self):
@@ -75,17 +68,6 @@ class TestQueries:
     def test_power_at_negative_time_rejected(self):
         with pytest.raises(TraceError):
             make_trace().power_at(-1.0)
-
-    def test_energy_between(self):
-        trace = make_trace()
-        assert trace.energy_between(0.0, 2.0) == pytest.approx(3e-3)
-        assert trace.energy_between(0.0, trace.duration) == pytest.approx(
-            trace.total_energy
-        )
-
-    def test_energy_between_rejects_inverted_interval(self):
-        with pytest.raises(TraceError):
-            make_trace().energy_between(2.0, 1.0)
 
     def test_iteration_yields_time_power_pairs(self):
         pairs = list(make_trace())
@@ -114,40 +96,3 @@ class TestTransforms:
         resampled = make_trace().resampled(0.5)
         assert resampled.duration == pytest.approx(4.0)
         assert resampled.power_at(0.6) == pytest.approx(1e-3)
-
-    def test_concatenated(self):
-        combined = make_trace().concatenated(make_trace())
-        assert combined.duration == pytest.approx(8.0)
-
-    def test_concatenated_requires_matching_period(self):
-        with pytest.raises(TraceError):
-            make_trace(period=1.0).concatenated(make_trace(period=2.0))
-
-
-class TestPersistence:
-    def test_csv_round_trip(self, tmp_path):
-        trace = make_trace()
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        loaded = PowerTrace.from_csv(path)
-        assert loaded.duration == pytest.approx(trace.duration)
-        assert np.allclose(loaded.powers, trace.powers)
-
-    def test_from_csv_requires_two_samples(self, tmp_path):
-        path = tmp_path / "tiny.csv"
-        path.write_text("time_s,power_w\n0.0,0.001\n")
-        with pytest.raises(TraceError):
-            PowerTrace.from_csv(path)
-
-    def test_from_samples(self):
-        trace = PowerTrace.from_samples([(0.0, 1e-3), (1.0, 2e-3)], sample_period=1.0)
-        assert trace.mean_power == pytest.approx(1.5e-3)
-
-
-@given(
-    samples=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50),
-    period=st.floats(0.1, 10.0),
-)
-def test_energy_between_never_exceeds_total(samples, period):
-    trace = PowerTrace(samples, period)
-    assert trace.energy_between(0.0, trace.duration / 2.0) <= trace.total_energy + 1e-12

@@ -1,6 +1,5 @@
 """Unit-conversion and capacitor-math helpers."""
 
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,14 +11,6 @@ def test_prefix_conversions_round_trip():
     assert units.millifarads(10.0) == pytest.approx(10e-3)
     assert units.milliamps(1.5) == pytest.approx(1.5e-3)
     assert units.microamps(28.0) == pytest.approx(28e-6)
-    assert units.milliwatts(5.0) == pytest.approx(5e-3)
-    assert units.microwatts(68.0) == pytest.approx(68e-6)
-    assert units.millijoules(2.9) == pytest.approx(2.9e-3)
-
-
-def test_reporting_conversions_invert_input_conversions():
-    assert units.to_millijoules(units.millijoules(3.3)) == pytest.approx(3.3)
-    assert units.to_milliwatts(units.milliwatts(0.5)) == pytest.approx(0.5)
 
 
 def test_capacitor_energy_matches_closed_form():
@@ -28,16 +19,6 @@ def test_capacitor_energy_matches_closed_form():
 
 def test_capacitor_energy_zero_voltage_is_zero():
     assert units.capacitor_energy(1e-3, 0.0) == 0.0
-
-
-def test_capacitor_voltage_and_charge_are_inverse():
-    charge = units.capacitor_charge(2e-3, 3.3)
-    assert units.capacitor_voltage(2e-3, charge) == pytest.approx(3.3)
-
-
-def test_capacitor_voltage_rejects_nonpositive_capacitance():
-    with pytest.raises(ValueError):
-        units.capacitor_voltage(0.0, 1.0)
 
 
 def test_usable_energy_between_voltage_levels():
